@@ -17,7 +17,9 @@ The pieces, bottom to top:
   cloud strictly dominates another.
 * ``arb_decide`` — the adaptive resampling rule: spend another evaluation
   only while the candidate's best chance of dominating a front member sits
-  inside the uncertainty band (alpha_l, alpha_u).
+  inside the uncertainty band (alpha_l, alpha_u). That chance is the
+  maximum of ``dominance_probability`` over the rivals, so the decision
+  runs on the same function the oracles check.
 """
 
 from __future__ import annotations
@@ -125,19 +127,6 @@ def bootstrap_means_pooled(point: EvaluatedPoint, dispersion: DispersionSet,
     return point.mean + (pooled + own) / n
 
 
-def _cross_pair_hits(a: np.ndarray, b: np.ndarray, strict: bool) -> np.ndarray:
-    # (len(a), len(b)) matrix of "a-row beats b-row in every coordinate".
-    if strict:
-        hits = a[:, 0][:, None] < b[:, 0][None, :]
-        for t in range(1, a.shape[1]):
-            hits &= a[:, t][:, None] < b[:, t][None, :]
-    else:
-        hits = a[:, 0][:, None] <= b[:, 0][None, :]
-        for t in range(1, a.shape[1]):
-            hits &= a[:, t][:, None] <= b[:, t][None, :]
-    return hits
-
-
 def dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray, *, strict: bool = True) -> float:
     """Fraction of cross pairs (a, b) where a dominates b in every coordinate.
 
@@ -149,7 +138,11 @@ def dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray, *, strict: b
     b = np.asarray(draws_b, dtype=float)
     if a.shape[1] != b.shape[1]:
         raise EvaluationError("draw sets differ in objective dimension")
-    return float(_cross_pair_hits(a, b, strict).mean())
+    beats = np.less if strict else np.less_equal
+    hits = beats(a[:, 0][:, None], b[:, 0][None, :])
+    for t in range(1, a.shape[1]):
+        hits &= beats(a[:, t][:, None], b[:, t][None, :])
+    return np.count_nonzero(hits) / hits.size
 
 
 @dataclass(frozen=True)
@@ -189,13 +182,10 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     if not rivals:
         return False
     candidate_draws = bootstrap_means_pooled(candidate, dispersion, n_draws, rng)
-    # One batched cross comparison against all rivals at once; per rival this
-    # equals dominance_probability(candidate draws, rival draws).
-    rival_draws = np.concatenate(
-        [bootstrap_means_pooled(r, dispersion, n_draws, rng) for r in rivals])
-    hits = _cross_pair_hits(candidate_draws, rival_draws, strict=not weak)
-    per_rival = hits.reshape(n_draws, len(rivals), n_draws).sum(axis=(0, 2))
-    p_star = float(per_rival.max()) / (n_draws * n_draws)
+    p_star = max(dominance_probability(candidate_draws,
+                                       bootstrap_means_pooled(r, dispersion, n_draws, rng),
+                                       strict=not weak)
+                 for r in rivals)
     if p_star > thresholds.alpha_u:
         return False
     return not p_star < thresholds.alpha_l

@@ -1,7 +1,9 @@
 """Benchmark command line.
 
 Subcommands: ``run`` one slice, ``sweep`` the whole grid, ``select`` one of
-the two unbiased comparison protocols, ``report`` the CSV outputs. The
+the two unbiased comparison protocols, ``report`` the CSV outputs.
+``select`` and ``report`` only read the records a sweep wrote; with any
+record missing they list it and exit 2 without running anything. The
 output root defaults to --out, then $NOISYMOO_OUT, then the config's
 output_dir.
 """
@@ -16,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (ExperimentConfig, derive_seed, record_path, report,
-                      run_single, select_params_prestudy, select_params_split, sweep)
+from .harness import (ExperimentConfig, derive_seed, load_records, record_path, report,
+                      run_single, select_params_prestudy, select_params_split, sweep,
+                      write_record)
+from .pareto import EvaluationError
 
 
 def _out_dir(args, config: ExperimentConfig) -> Path:
@@ -44,10 +48,8 @@ def _cmd_run(args) -> int:
     seed = derive_seed(base_seed, slice_.fingerprint, args.rep)
     record = run_single(slice_, args.rep, seed, config.metric_params(),
                         config.variation_config())
-    out = _out_dir(args, config)
-    path = record_path(out, slice_, args.rep)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(record.canonical_json() + "\n", encoding="utf-8")
+    path = record_path(_out_dir(args, config), slice_, args.rep)
+    write_record(path, record)
     print(f"{slice_.strategy_label} on {slice_.problem} {slice_.noise}: "
           f"hv={record.hv:.4f} spent={record.spent} -> {path}")
     return 0
@@ -67,7 +69,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_select(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
-    full = sweep(config, out, jobs=args.jobs, include_log=False)
+    try:
+        full = load_records(config, out, include_log=False)
+        if args.protocol == "prestudy":
+            prestudy = load_records(config, out, include_log=False,
+                                    budget=config.selection["prestudy_budget"])
+    except EvaluationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.protocol == "split":
         sel = config.selection
         rng = np.random.default_rng(config.base_seed)
@@ -76,8 +85,6 @@ def _cmd_select(args) -> int:
         payload = {"protocol": "split",
                    "fractions": {str(k): v for k, v in fractions.items()}}
     else:
-        prestudy = sweep(config, out, jobs=args.jobs, include_log=False,
-                         budget=config.selection["prestudy_budget"])
         table = select_params_prestudy(prestudy, full)
         payload = {"protocol": "prestudy", **table}
     path = Path(out) / f"selection_{args.protocol}.json"
@@ -91,7 +98,11 @@ def _cmd_select(args) -> int:
 def _cmd_report(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
-    records = sweep(config, out, jobs=args.jobs, include_log=False)
+    try:
+        records = load_records(config, out, include_log=False)
+    except EvaluationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     paths = report(records, out, fmt=args.format)
     for p in paths:
         print(p)
@@ -106,27 +117,30 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output root directory")
+
+    def running(p: argparse.ArgumentParser) -> None:
+        common(p)
         p.add_argument("--jobs", type=int, default=1, help="parallel runs")
         p.add_argument("--seed", type=int, default=None, help="override base seed")
 
     p_run = sub.add_parser("run", help="run one grid slice")
-    common(p_run)
+    running(p_run)
     p_run.add_argument("--slice", type=int, required=True, help="slice ordinal")
     p_run.add_argument("--rep", type=int, default=0, help="replication index")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the full grid x replications")
-    common(p_sweep)
+    running(p_sweep)
     p_sweep.add_argument("--prestudy", action="store_true",
                          help="use the prestudy budget instead of the full one")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
-    p_select = sub.add_parser("select", help="unbiased strategy comparison")
+    p_select = sub.add_parser("select", help="unbiased strategy comparison of swept records")
     common(p_select)
     p_select.add_argument("--protocol", choices=("split", "prestudy"), required=True)
     p_select.set_defaults(fn=_cmd_select)
 
-    p_report = sub.add_parser("report", help="write CSV reports")
+    p_report = sub.add_parser("report", help="write CSV reports of swept records")
     common(p_report)
     p_report.add_argument("--format", default="csv", choices=("csv",))
     p_report.set_defaults(fn=_cmd_report)

@@ -20,7 +20,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,15 +71,11 @@ class RunSlice:
     budget: int
 
     def as_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "dim": self.dim,
-            "noise": self.noise,
-            "strategy": self.strategy,
-            "mode": self.mode,
-            "popsize": self.popsize,
-            "budget": self.budget,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "RunSlice":
+        return cls(**{f.name: raw[f.name] for f in fields(cls)})
 
     @property
     def fingerprint(self) -> str:
@@ -219,17 +215,7 @@ class RunRecord:
 
     def canonical_dict(self) -> dict:
         # Everything except wall time, which is the one non-reproducible field.
-        return {
-            "fingerprint": self.fingerprint,
-            "slice": self.slice,
-            "replication": self.replication,
-            "seed": self.seed,
-            "spent": self.spent,
-            "eval_log": self.eval_log,
-            "final_population": self.final_population,
-            "returned_set": self.returned_set,
-            "metrics": self.metrics,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
 
     def canonical_json(self) -> str:
         return _canonical(self.canonical_dict())
@@ -290,12 +276,16 @@ def record_path(out_dir: str | Path, slice_: RunSlice, replication: int) -> Path
     return Path(out_dir) / "records" / f"{slice_.fingerprint}_r{replication:03d}.json"
 
 
-def _run_job(args) -> str:
-    slice_, rep, seed, metric_params, variation, path_str = args
-    record = run_single(slice_, rep, seed, metric_params, variation)
-    path = Path(path_str)
+def write_record(path: str | Path, record: RunRecord) -> None:
+    """Write one record file: its canonical JSON plus a newline."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(record.canonical_json() + "\n", encoding="utf-8")
+
+
+def _run_job(args) -> str:
+    slice_, rep, seed, metric_params, variation, path_str = args
+    write_record(path_str, run_single(slice_, rep, seed, metric_params, variation))
     return path_str
 
 
@@ -305,10 +295,9 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
     """Run the full grid x replications, skipping runs whose record exists.
 
     Runs are independent and may execute in parallel; records land in
-    ``out_dir/records`` and are re-read sorted, so the returned list and
-    all downstream reports are independent of execution order.
-    ``include_log=False`` drops the (large) evaluation logs from the
-    returned records; the files on disk always keep them.
+    ``out_dir/records`` and are re-read by :func:`load_records`, so the
+    returned list and all downstream reports are independent of execution
+    order.
     """
     base_seed = config.base_seed if base_seed is None else base_seed
     slices = config.slices(budget=budget)
@@ -329,12 +318,27 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
         else:
             for args in jobs_args:
                 _run_job(args)
-    records = []
-    for slice_ in slices:
-        for rep in range(config.replications):
-            records.append(load_record(record_path(out_dir, slice_, rep),
-                                       include_log=include_log))
-    return records
+    return load_records(config, out_dir, budget=budget, include_log=include_log)
+
+
+def load_records(config: ExperimentConfig, out_dir: str | Path, budget: int | None = None,
+                 include_log: bool = True) -> list[RunRecord]:
+    """Read the grid x replications records in grid order; start no run.
+
+    Raises :class:`EvaluationError` listing every missing (fingerprint,
+    replication) pair. ``include_log=False`` drops the (large) evaluation
+    logs from the returned records; the files on disk always keep them.
+    """
+    runs = [(slice_, rep) for slice_ in config.slices(budget=budget)
+            for rep in range(config.replications)]
+    missing = [(slice_.fingerprint, rep) for slice_, rep in runs
+               if not record_path(out_dir, slice_, rep).is_file()]
+    if missing:
+        listing = "\n".join(f"  ({fp}, {rep})" for fp, rep in missing)
+        raise EvaluationError(f"{len(missing)} of {len(runs)} records missing in "
+                              f"{Path(out_dir) / 'records'} (fingerprint, rep):\n{listing}")
+    return [load_record(record_path(out_dir, slice_, rep), include_log=include_log)
+            for slice_, rep in runs]
 
 
 def load_record(path: str | Path, include_log: bool = True) -> RunRecord:
@@ -354,9 +358,7 @@ def _group_runs(records: list[RunRecord]):
     table: dict = {}
     slices: dict = {}
     for rec in records:
-        slice_ = RunSlice(**{k: rec.slice[k] for k in
-                             ("problem", "dim", "noise", "strategy", "mode",
-                              "popsize", "budget")})
+        slice_ = RunSlice.from_dict(rec.slice)
         slices[rec.fingerprint] = slice_
         table.setdefault(slice_.setting_key(), {}) \
              .setdefault(slice_.family, {}) \
@@ -485,12 +487,7 @@ def report(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv") -> l
     out = Path(out_dir) / "report"
     out.mkdir(parents=True, exist_ok=True)
 
-    def slice_of(rec: RunRecord) -> RunSlice:
-        return RunSlice(**{k: rec.slice[k] for k in
-                           ("problem", "dim", "noise", "strategy", "mode",
-                            "popsize", "budget")})
-
-    decorated = sorted(((slice_of(r), r) for r in records),
+    decorated = sorted(((RunSlice.from_dict(r.slice), r) for r in records),
                        key=lambda pair: (pair[0].setting_key(), pair[0].family,
                                          pair[0].strategy_label, pair[1].replication))
     per_run_rows = []

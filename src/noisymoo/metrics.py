@@ -101,10 +101,15 @@ def normalized_hypervolume(points: np.ndarray, problem: NoisyProblem,
     Values above 1 can only arise from the discretization of the front
     sample; the denominator being zero means the nadir is degenerate.
     """
-    denom = hypervolume(sample_true_pf(problem, n_pf), nadir)
+    return hypervolume(points, nadir) / _true_front_hypervolume(
+        sample_true_pf(problem, n_pf), nadir)
+
+
+def _true_front_hypervolume(pf: np.ndarray, nadir: np.ndarray) -> float:
+    denom = hypervolume(pf, nadir)
     if denom <= 0.0:
         raise EvaluationError("true-front hypervolume is zero; nadir is degenerate")
-    return hypervolume(points, nadir) / denom
+    return denom
 
 
 def igd_p(points: np.ndarray, pf: np.ndarray, power: float = 2.0) -> float:
@@ -125,9 +130,7 @@ def score_final_set(returned: list[EvaluatedPoint], problem: NoisyProblem,
     filtered = true_nondominated_filter(returned, problem)
     nadir = nadir_for(problem, params)
     pf = sample_true_pf(problem, params.n_pf)
-    denom = hypervolume(pf, nadir)
-    if denom <= 0.0:
-        raise EvaluationError("true-front hypervolume is zero; nadir is degenerate")
+    denom = _true_front_hypervolume(pf, nadir)
     if filtered:
         true_means = np.array([problem.mean_fn(p.decision) for p in filtered])
         hv_raw = hypervolume(true_means, nadir)

@@ -161,8 +161,7 @@ def _resample_at_creation(point: EvaluatedPoint, parents: list[EvaluatedPoint],
     if isinstance(strategy, StaticStrategy):
         # Static ignores the population context; skip the ranking work.
         while point.count < strategy.n and ev.reevaluate(point, gen):
-            if dispersion is not None:
-                push_newest_residual(dispersion, point)
+            pass
         return
     while ev.remaining > 0:
         ranked = nondominated_sort(parents + [point])

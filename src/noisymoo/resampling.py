@@ -127,19 +127,15 @@ def domination_strength(i: int, pop: RankedPopulation) -> float:
 
 
 def budget_fraction_strength(i: int, pop: RankedPopulation) -> float:
-    """Piecewise share: ratio to the maximal strength, with two edge cases.
+    """Share as the ratio to the maximal strength.
 
-    The middle case (max strength exactly 1/|P|) evaluates to the same
-    ratio as the first and is kept verbatim; equality is tested with an
-    absolute tolerance of 1e-12. When every strength is zero, all points
-    get the full share.
+    When every strength is zero (up to an absolute tolerance of 1e-12), all
+    points get the full share.
     """
     strengths = all_strengths(pop)
     s_max = float(strengths.max())
     if s_max <= _STRENGTH_TOL:
         return 1.0
-    if abs(s_max - 1.0 / len(pop)) <= _STRENGTH_TOL:
-        return max(0.0, float(strengths[i]) / s_max)
     return float(strengths[i]) / s_max
 
 
@@ -187,16 +183,6 @@ def sederror_decide(point: EvaluatedPoint, threshold: float, aggregation: str = 
     return standard_error(point, aggregation, true_se=true_se) > threshold
 
 
-def _fraction_for(strategy: ResamplingStrategy, ctx: DecisionContext) -> float:
-    if isinstance(strategy, TimeStrategy):
-        return budget_fraction_time(ctx)
-    if isinstance(strategy, RankStrategy):
-        return budget_fraction_rank(ctx.point_index, ctx.population)
-    if isinstance(strategy, StrengthStrategy):
-        return budget_fraction_strength(ctx.point_index, ctx.population)
-    raise EvaluationError(f"no budget fraction for kind {strategy.kind!r}")
-
-
 def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext) -> bool:
     """Dispatch one resampling decision for the point named by the context.
 
@@ -208,8 +194,13 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext) -> bool:
     point = ctx.point
     if isinstance(strategy, StaticStrategy):
         return point.count < strategy.n
-    if isinstance(strategy, (TimeStrategy, RankStrategy, StrengthStrategy)):
-        return point.count < _fraction_for(strategy, ctx) * strategy.n_max
+    if isinstance(strategy, TimeStrategy):
+        return point.count < budget_fraction_time(ctx) * strategy.n_max
+    if isinstance(strategy, RankStrategy):
+        return point.count < budget_fraction_rank(ctx.point_index, ctx.population) * strategy.n_max
+    if isinstance(strategy, StrengthStrategy):
+        return (point.count
+                < budget_fraction_strength(ctx.point_index, ctx.population) * strategy.n_max)
     if isinstance(strategy, SeErrorStrategy):
         return sederror_decide(point, strategy.threshold, strategy.aggregation,
                                true_se=strategy.true_se)

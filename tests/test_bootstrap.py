@@ -236,8 +236,8 @@ class TestArbDecision:
         with pytest.raises(EvaluationError):
             ArbThresholds(alpha_l=0.1, alpha_u=0.4)
 
-    def test_matches_pairwise_maximum(self):
-        # The batched rule must agree with explicit per-rival probabilities.
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_matches_pairwise_maximum(self, weak):
         rng = np.random.default_rng(9)
         ds = DispersionSet()
         for _ in range(30):
@@ -246,10 +246,11 @@ class TestArbDecision:
         rivals = [point(*[tuple(rng.normal(size=2)) for _ in range(k)]) for k in (1, 2, 4)]
         thresholds = ArbThresholds(0.2, 0.9)
         decision = arb_decide(candidate, rivals, ds, thresholds, 100,
-                              np.random.default_rng(77))
+                              np.random.default_rng(77), weak=weak)
         rng2 = np.random.default_rng(77)
         cand_draws = bootstrap_means_pooled(candidate, ds, 100, rng2)
-        p_star = max(dominance_probability(
-            cand_draws, bootstrap_means_pooled(r, ds, 100, rng2)) for r in rivals)
+        p_star = max(brute_dominance_probability(
+            cand_draws, bootstrap_means_pooled(r, ds, 100, rng2), strict=not weak)
+            for r in rivals)
         expected = not (p_star > 0.9 or p_star < 0.2)
         assert decision is expected

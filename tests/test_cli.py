@@ -60,6 +60,8 @@ def test_sweep_select_report_pipeline(config_path, tmp_path):
     for per_family in split["fractions"].values():
         assert sum(per_family.values()) == pytest.approx(1.0, abs=1e-9)
 
+    assert main(["sweep", "--config", str(config_path), "--prestudy", "--jobs", "2",
+                 "--out", str(out)]) == 0
     assert main(["select", "--config", str(config_path), "--protocol", "prestudy",
                  "--out", str(out)]) == 0
     table = json.loads((out / "selection_prestudy.json").read_text())
@@ -70,6 +72,23 @@ def test_sweep_select_report_pipeline(config_path, tmp_path):
                  "--format", "csv"]) == 0
     per_run = (out / "report" / "per_run.csv").read_text().splitlines()
     assert len(per_run) == 1 + n_slices * 2
+
+
+def test_read_only_commands_refuse_incomplete_records(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config_path), "--jobs", "2",
+                 "--out", str(out)]) == 0
+    records = sorted((out / "records").iterdir())
+    records[0].unlink()
+    fingerprint, rep = records[0].stem.split("_r")
+    capsys.readouterr()
+    for argv in (["report"], ["select", "--protocol", "split"],
+                 ["select", "--protocol", "prestudy"]):
+        assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
+        assert f"({fingerprint}, {int(rep)})" in capsys.readouterr().err
+    assert sorted((out / "records").iterdir()) == records[1:]
+    assert not (out / "report").exists()
+    assert not list(out.glob("selection_*.json"))
 
 
 def test_output_dir_from_environment(config_path, tmp_path, monkeypatch):

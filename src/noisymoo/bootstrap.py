@@ -17,9 +17,21 @@ The pieces, bottom to top:
   cloud strictly dominates another.
 * ``arb_decide`` — the adaptive resampling rule: spend another evaluation
   only while the candidate's best chance of dominating a front member sits
-  inside the uncertainty band (alpha_l, alpha_u). That chance is the
+  inside the uncertainty band (alpha_l, alpha_u). That chance p* is the
   maximum of ``dominance_probability`` over the rivals, so the decision
   runs on the same function the oracles check.
+
+The decision needs only the side of the band p* falls on, so ``arb_decide``
+bounds before it counts. For each objective t and rival r it counts the
+cross pairs m_t where the candidate's draw beats the rival's on t alone
+(sort the candidate's column once, one ``searchsorted`` over all rivals).
+A pair that beats on every objective beats on each, so p_r <= min_t m_t;
+a pair that fails misses at least one objective, so p_r >= sum_t m_t -
+(T - 1) (the Frechet bound), with counts over the B^2 pairs. Rivals are
+then visited by falling upper bound, and ``dominance_probability`` is
+called only while the bounds on p* still straddle alpha_l or alpha_u. The
+counts are integers divided by the same B^2, so the bounds are exact and
+every decision equals the one taken on the exact maximum.
 """
 
 from __future__ import annotations
@@ -117,13 +129,16 @@ def bootstrap_means_pooled(point: EvaluatedPoint, dispersion: DispersionSet,
     reduces to mean + E.
     """
     pool = dispersion.centered()
-    pooled = pool[rng.integers(0, pool.shape[0], size=n_draws)]
+    pooled = pool.take(rng.integers(0, pool.shape[0], size=n_draws), axis=0)
     n = point.count
     if n == 1:
         return point.mean + pooled
     residuals = point.scaled_residuals()
     idx = rng.integers(0, n, size=(n_draws, n - 1))
-    own = residuals[idx].sum(axis=1)
+    # For T >= 2 objectives, summing the (n - 1, B, T) gather over its first
+    # axis adds the same terms in the same order as summing the (B, n - 1, T)
+    # gather over its middle axis, so the replicates are bit-identical.
+    own = residuals.take(idx.T, axis=0).sum(axis=0)
     return point.mean + (pooled + own) / n
 
 
@@ -163,6 +178,30 @@ class ArbThresholds:
         if not 0.5 < self.alpha_u <= 1.0:
             raise EvaluationError("alpha_u must lie in (0.5, 1]")
 
+    def side(self, p: float) -> int:
+        """-1 below alpha_l, +1 above alpha_u, 0 inside the band."""
+        if p < self.alpha_l:
+            return -1
+        return 1 if p > self.alpha_u else 0
+
+
+def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray,
+                    strict: bool) -> np.ndarray:
+    """(T, R) counts of cross pairs where the candidate beats rival r on objective t.
+
+    ``rival_draws`` has shape (R, B, T). A candidate draw beats a rival
+    draw on t when it is smaller (``strict``) or not larger. Sorting each
+    rival's keys changes no row sum but makes the binary searches run
+    over ascending keys, which roughly halves their cost.
+    """
+    side = "left" if strict else "right"
+    wins = np.empty((rival_draws.shape[2], rival_draws.shape[0]), dtype=np.int64)
+    for t in range(rival_draws.shape[2]):
+        column = np.sort(candidate_draws[:, t])
+        keys = np.sort(rival_draws[:, :, t], axis=1)
+        wins[t] = column.searchsorted(keys, side=side).sum(axis=1)
+    return wins
+
 
 def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
                dispersion: DispersionSet, thresholds: ArbThresholds,
@@ -171,10 +210,12 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
 
     Computes p* = max over front members (the candidate itself excluded) of
     the bootstrap probability that the candidate's mean dominates the
-    member's mean, with fresh replicates on every call. Returns False when
-    p* > alpha_u (confidently good) or p* < alpha_l (hopeless), True inside
-    the band. A candidate that is the sole front member has no comparison
-    target, which counts as p* = 0.
+    member's mean, with fresh replicates on every call: the candidate's
+    first, then each rival's in front order. Returns False when p* >
+    alpha_u (confidently good) or p* < alpha_l (hopeless), True inside the
+    band. A candidate that is the sole front member has no comparison
+    target, which counts as p* = 0. Exact counts are taken only where the
+    per-objective bounds (module docstring) leave the side of p* open.
     """
     if not front:
         raise EvaluationError("the front must be nonempty")
@@ -182,10 +223,16 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     if not rivals:
         return False
     candidate_draws = bootstrap_means_pooled(candidate, dispersion, n_draws, rng)
-    p_star = max(dominance_probability(candidate_draws,
-                                       bootstrap_means_pooled(r, dispersion, n_draws, rng),
-                                       strict=not weak)
-                 for r in rivals)
-    if p_star > thresholds.alpha_u:
-        return False
-    return not p_star < thresholds.alpha_l
+    rival_draws = np.stack([bootstrap_means_pooled(r, dispersion, n_draws, rng)
+                            for r in rivals])
+    wins = _objective_wins(candidate_draws, rival_draws, strict=not weak)
+    pairs = n_draws * n_draws
+    upper = wins.min(axis=0) / pairs
+    lower = (wins.sum(axis=0) - (wins.shape[0] - 1) * pairs) / pairs
+    p_low = float(lower.max())
+    for r in np.argsort(-upper, kind="stable"):
+        if thresholds.side(p_low) == thresholds.side(max(p_low, float(upper[r]))):
+            break
+        p_low = max(p_low, dominance_probability(candidate_draws, rival_draws[r],
+                                                 strict=not weak))
+    return thresholds.side(p_low) == 0

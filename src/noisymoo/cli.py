@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def running(p: argparse.ArgumentParser) -> None:
         common(p)
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs")
         p.add_argument("--seed", type=int, default=None, help="override base seed")
 
     p_run = sub.add_parser("run", help="run one grid slice")
@@ -131,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the full grid x replications")
     running(p_sweep)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel runs")
     p_sweep.add_argument("--prestudy", action="store_true",
                          help="use the prestudy budget instead of the full one")
     p_sweep.set_defaults(fn=_cmd_sweep)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -277,10 +278,21 @@ def record_path(out_dir: str | Path, slice_: RunSlice, replication: int) -> Path
 
 
 def write_record(path: str | Path, record: RunRecord) -> None:
-    """Write one record file: its canonical JSON plus a newline."""
+    """Write one record file: its canonical JSON plus a newline.
+
+    The text goes to a hidden temporary file next to the target, named
+    after it and the writing process, which then replaces the target. A
+    writer killed midway leaves no file under the record's name, so the
+    run counts as missing and the next sweep runs it again.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(record.canonical_json() + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(record.canonical_json() + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _run_job(args) -> str:

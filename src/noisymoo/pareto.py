@@ -47,12 +47,28 @@ def indifferent(a: np.ndarray, b: np.ndarray) -> bool:
     return not dominates(a, b) and not dominates(b, a)
 
 
-def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Pairwise strict dominance: out[i, j] is True iff row i dominates row j."""
+def weak_dominance_matrix(objectives: np.ndarray) -> np.ndarray:
+    """Pairwise weak dominance: out[i, j] is True iff row i <= row j everywhere.
+
+    Built from one (n, n) comparison per objective; the diagonal is True.
+    """
     objs = np.asarray(objectives, dtype=float)
-    a = objs[:, None, :]
-    b = objs[None, :, :]
-    return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+    column = objs[:, 0]
+    weak = column[:, None] <= column[None, :]
+    for t in range(1, objs.shape[1]):
+        column = objs[:, t]
+        weak &= column[:, None] <= column[None, :]
+    return weak
+
+
+def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
+    """Pairwise strict dominance: out[i, j] is True iff row i dominates row j.
+
+    Given a_t <= b_t everywhere, a_t < b_t somewhere is the same as b not
+    weakly dominating a, so the strict relation is ``weak & ~weak.T``.
+    """
+    weak = weak_dominance_matrix(objectives)
+    return weak & ~weak.T
 
 
 def front_ranks(objectives: np.ndarray) -> np.ndarray:
@@ -75,8 +91,7 @@ def front_ranks(objectives: np.ndarray) -> np.ndarray:
         front = remaining[in_front]
         ranks[front] = rank
         remaining = remaining[~in_front]
-        for i in front:
-            n_dominators[remaining] -= dom[i, remaining]
+        n_dominators[remaining] -= dom[np.ix_(front, remaining)].sum(axis=0)
         rank += 1
     return ranks
 
@@ -119,6 +134,9 @@ class EvaluatedPoint:
     samples: list[np.ndarray] = field(default_factory=list)
     mean: np.ndarray | None = None
     uid: int = -1
+    # (sample count, read-only scaled residuals) from the last computation.
+    _residuals: tuple[int, np.ndarray] | None = field(default=None, init=False,
+                                                      repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.decision = np.asarray(self.decision, dtype=float)
@@ -133,16 +151,23 @@ class EvaluatedPoint:
     def add_sample(self, y: np.ndarray) -> None:
         self.samples.append(np.asarray(y, dtype=float))
         self.mean = np.mean(self.samples, axis=0)
+        self._residuals = None
 
     def scaled_residuals(self) -> np.ndarray:
         """The N residuals (y - mean) scaled by sqrt(N / (N - 1)), shape (N, T).
 
         Undefined for a single sample; the scaling factor blows up at N = 1.
+        The array is cached until the next :meth:`add_sample` (or a change
+        of sample count) and returned read-only, since callers share it.
         """
         n = self.count
         if n < 2:
             raise EvaluationError("residuals need at least two samples")
-        return np.sqrt(n / (n - 1)) * (np.asarray(self.samples) - self.mean)
+        if self._residuals is None or self._residuals[0] != n:
+            residuals = np.sqrt(n / (n - 1)) * (np.asarray(self.samples) - self.mean)
+            residuals.flags.writeable = False
+            self._residuals = (n, residuals)
+        return self._residuals[1]
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import bootstrap
-from .pareto import EvaluatedPoint, EvaluationError, RankedPopulation
+from .pareto import EvaluatedPoint, EvaluationError, RankedPopulation, weak_dominance_matrix
 
 _STRENGTH_TOL = 1e-12
 
@@ -95,7 +95,26 @@ ResamplingStrategy = Union[StaticStrategy, TimeStrategy, RankStrategy,
 
 @dataclass
 class DecisionContext:
-    """Everything a decision function may read about the current state."""
+    """Everything a decision function may read about the current state.
+
+    The population state each kind reads, in a sequential sweep over the
+    combined population (points re-evaluated earlier in the same sweep
+    already carry their new samples):
+
+    * ``rank`` reads ``population.rank``, the ranks from the sort at the
+      start of the sweep; they are not updated as means move.
+    * ``strength`` reads the live means (``population.means`` is rebuilt
+      from the members on every call), so it sees every re-evaluation made
+      earlier in the sweep.
+    * ``arb`` reads the live means and samples of the point and of the
+      front members, but the front's membership is fixed at the start of
+      the sweep.
+    * ``static``, ``time`` and ``sederror`` read only the point itself
+      (plus ``n_gen``/``max_gen`` for ``time``).
+
+    In one-shot mode every decision sorts the parents plus the new point
+    afresh, so ranks and front are current there.
+    """
 
     point_index: int
     population: RankedPopulation
@@ -116,8 +135,7 @@ def all_strengths(pop: RankedPopulation) -> np.ndarray:
     Self-exclusion keeps the all-strengths-zero case reachable (a point
     always weakly dominates itself).
     """
-    means = pop.means
-    weak = np.all(means[:, None, :] <= means[None, :, :], axis=2)
+    weak = weak_dominance_matrix(pop.means)
     np.fill_diagonal(weak, False)
     return weak.sum(axis=1) / len(pop)
 

@@ -21,6 +21,28 @@ def brute_dominates(a, b) -> bool:
     return all_leq and any_lt
 
 
+def brute_dominance_matrix(objs: np.ndarray) -> np.ndarray:
+    n = len(objs)
+    dom = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            dom[i, j] = brute_dominates(objs[i], objs[j])
+    return dom
+
+
+def brute_strengths(objs: np.ndarray) -> np.ndarray:
+    """Per point: the share of the n points other than itself it weakly dominates."""
+    n = len(objs)
+    out = np.zeros(n)
+    for i in range(n):
+        count = 0
+        for j in range(n):
+            if i != j and all(x <= y for x, y in zip(objs[i], objs[j])):
+                count += 1
+        out[i] = count / n
+    return out
+
+
 def brute_front_ranks(objs: np.ndarray) -> np.ndarray:
     """Iterative front peeling from an explicit pairwise dominance matrix."""
     n = len(objs)

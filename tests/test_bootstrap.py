@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisymoo import bootstrap
 from noisymoo.bootstrap import (ArbThresholds, DispersionSet, arb_decide,
                                 bootstrap_means, bootstrap_means_pooled,
                                 dominance_probability, push_newest_residual,
@@ -254,3 +255,50 @@ class TestArbDecision:
             for r in rivals)
         expected = not (p_star > 0.9 or p_star < 0.2)
         assert decision is expected
+
+    @pytest.mark.parametrize("n_obj", [2, 3])
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_bounds_then_counts_matches_bruteforce_maximum(self, monkeypatch, weak, n_obj):
+        # Draws are fixed per point and rounded to a 0.5 grid, so single
+        # objectives tie often. Thresholds sit one ulp below, at and one ulp
+        # above the brute-force p*, plus the default band.
+        rng = np.random.default_rng(100 + 10 * n_obj + weak)
+        n_draws = 20
+        draws = {}
+        monkeypatch.setattr(bootstrap, "bootstrap_means_pooled",
+                            lambda pt, dispersion, n, gen: draws[id(pt)])
+        exact_calls = []
+        dominance = bootstrap.dominance_probability
+
+        def counted(a, b, *, strict):
+            exact_calls.append(1)
+            return dominance(a, b, strict=strict)
+
+        monkeypatch.setattr(bootstrap, "dominance_probability", counted)
+        bound_only = some_exact = 0
+        for _ in range(25):
+            n_rivals = int(rng.integers(1, 31))
+            front = [EvaluatedPoint(decision=np.zeros(2), samples=[np.zeros(n_obj)])
+                     for _ in range(n_rivals + 1)]
+            for pt in front:
+                centre = rng.uniform(0, 2, size=n_obj)
+                draws[id(pt)] = np.round(2 * rng.normal(centre, 1.0, (n_draws, n_obj))) / 2
+            candidate, rivals = front[0], front[1:]
+            p_star = max(brute_dominance_probability(draws[id(candidate)], draws[id(r)],
+                                                     strict=not weak) for r in rivals)
+            bands = [(0.2, 0.9)]
+            for alpha in (np.nextafter(p_star, -1.0), p_star, np.nextafter(p_star, 2.0)):
+                bands.append((alpha, 0.9) if p_star < 0.5 else (0.2, alpha))
+            for alpha_l, alpha_u in bands:
+                try:
+                    thresholds = ArbThresholds(float(alpha_l), float(alpha_u))
+                except EvaluationError:
+                    continue  # p* at 0 or 1 leaves no room on one side
+                exact_calls.clear()
+                decision = arb_decide(candidate, front, None, thresholds, n_draws, None,
+                                      weak=weak)
+                assert decision is bool(alpha_l <= p_star <= alpha_u)
+                assert len(exact_calls) <= n_rivals
+                bound_only += len(exact_calls) < n_rivals
+                some_exact += len(exact_calls) > 0
+        assert bound_only and some_exact

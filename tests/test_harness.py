@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from noisymoo import harness
 from noisymoo.harness import (AGGREGATE_HEADER, HV_VS_SIGMA_HEADER, PER_RUN_HEADER,
                               ExperimentConfig, RunRecord, RunSlice, derive_seed,
-                              family_of, report, run_single, select_params_prestudy,
-                              select_params_split, sweep)
+                              family_of, load_records, record_path, report, run_single,
+                              select_params_prestudy, select_params_split, sweep,
+                              write_record)
 from noisymoo.pareto import EvaluationError
 
 
@@ -119,6 +121,39 @@ class TestSweep:
         after = {p.name: p.read_bytes() for p in (tmp_path / "records").iterdir()}
         assert before == after
         assert len(records_again) == len(records)
+
+    def test_partial_temp_file_is_not_a_record(self, tmp_path):
+        # A writer killed before its rename leaves only a truncated temp file.
+        config = tiny_config()
+        sweep(config, tmp_path)
+        slice_ = config.slices()[1]
+        path = record_path(tmp_path, slice_, 2)
+        whole = path.read_bytes()
+        path.unlink()
+        partial = path.with_name(f".{path.name}.99999.tmp")
+        partial.write_bytes(whole[: len(whole) // 2])
+        with pytest.raises(EvaluationError, match=f"{slice_.fingerprint}, 2"):
+            load_records(config, tmp_path)
+        records = sweep(config, tmp_path)
+        assert len(records) == len(config.slices()) * config.replications
+        assert path.read_bytes() == whole
+
+    def test_failed_write_leaves_old_record_and_no_temp_file(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        slice_ = config.slices()[0]
+        record = run_single(slice_, 0, derive_seed(7, slice_.fingerprint, 0))
+        path = tmp_path / "records" / "run.json"
+        write_record(path, record)
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_record(path, record)
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["run.json"]
 
     def test_execution_order_does_not_change_records(self, tmp_path):
         config = tiny_config()

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, crowding_distance,
-                             dominates, indifferent, nondominated_sort,
-                             weakly_dominates)
+                             dominance_matrix, dominates, front_ranks, indifferent,
+                             nondominated_sort, weakly_dominates)
 
-from .oracles import brute_front_ranks
+from .oracles import brute_dominance_matrix, brute_front_ranks
 
 vec = lambda *v: np.array(v, dtype=float)
 
@@ -80,6 +80,16 @@ class TestSorting:
             pop = nondominated_sort(_points(objs))
             assert np.array_equal(pop.rank, brute_front_ranks(objs))
 
+    @pytest.mark.parametrize("n_obj", [2, 3])
+    def test_matrix_and_ranks_match_bruteforce_with_ties(self, n_obj):
+        # Values from {0, 1, 2, 3} make ties on single objectives and
+        # duplicate points common.
+        rng = np.random.default_rng(n_obj)
+        for n in (1, 2, 7, 25, 60):
+            objs = rng.integers(0, 4, size=(n, n_obj)).astype(float)
+            assert np.array_equal(dominance_matrix(objs), brute_dominance_matrix(objs))
+            assert np.array_equal(front_ranks(objs), brute_front_ranks(objs))
+
     @given(finite_objs)
     @settings(max_examples=40, deadline=None)
     def test_matches_bruteforce_property(self, objs):
@@ -136,6 +146,19 @@ class TestEvaluatedPoint:
         pt = EvaluatedPoint(decision=vec(0, 0), samples=[vec(0, 0), vec(2, 2)])
         res = pt.scaled_residuals()
         assert np.allclose(sorted(res[:, 0]), [-np.sqrt(2), np.sqrt(2)])
+
+    def test_scaled_residuals_cached_until_next_sample(self):
+        pt = EvaluatedPoint(decision=vec(0, 0), samples=[vec(0, 0), vec(2, 2)])
+        first = pt.scaled_residuals()
+        assert pt.scaled_residuals() is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 5.0
+        pt.add_sample(vec(4, 1))
+        fresh = pt.scaled_residuals()
+        expected = np.sqrt(3 / 2) * (np.array([[0, 0], [2, 2], [4, 1]]) - pt.mean)
+        assert fresh.shape == (3, 2)
+        assert np.array_equal(fresh, expected)
+        assert np.array_equal(first, np.sqrt(2) * np.array([[-1.0, -1.0], [1.0, 1.0]]))
 
     def test_residuals_need_two_samples(self):
         pt = EvaluatedPoint(decision=vec(0, 0), samples=[vec(0, 0)])

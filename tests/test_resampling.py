@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from noisymoo.pareto import EvaluatedPoint, EvaluationError, nondominated_sort
 from noisymoo.resampling import (ArbStrategy, DecisionContext, RankStrategy,
                                  SeErrorStrategy, StaticStrategy, StrengthStrategy,
-                                 TimeStrategy, budget_fraction_rank,
+                                 TimeStrategy, all_strengths, budget_fraction_rank,
                                  budget_fraction_strength, budget_fraction_time,
                                  domination_strength, sederror_decide,
                                  should_resample, standard_error, strategy_from_dict)
+
+from .oracles import brute_strengths
 
 vec = lambda *v: np.array(v, dtype=float)
 
@@ -38,6 +40,14 @@ class TestStrength:
     def test_mutually_incomparable_all_zero(self):
         pop = ranked([(0, 3), (1, 2), (2, 1), (3, 0)])
         assert [domination_strength(i, pop) for i in range(4)] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n_obj", [2, 3])
+    def test_all_strengths_match_bruteforce_with_ties(self, n_obj):
+        rng = np.random.default_rng(10 + n_obj)
+        for n in (1, 2, 7, 25, 60):
+            objs = rng.integers(0, 4, size=(n, n_obj)).astype(float)
+            pts = [EvaluatedPoint(decision=np.zeros(2), samples=[o]) for o in objs]
+            assert np.array_equal(all_strengths(nondominated_sort(pts)), brute_strengths(objs))
 
     def test_fraction_all_zero_gives_full_budget(self):
         pop = ranked([(0, 3), (1, 2), (2, 1), (3, 0)])

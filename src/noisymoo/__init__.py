@@ -15,8 +15,8 @@ Library layout:
   CSV reporting.
 """
 
-from .bootstrap import (ArbThresholds, DispersionSet, arb_decide, bootstrap_means,
-                        bootstrap_means_pooled, dominance_probability, push_residuals)
+from .bootstrap import (DispersionSet, arb_decide, bootstrap_means, bootstrap_means_pooled,
+                        dominance_probability, push_residuals)
 from .metrics import (MetricParams, MetricReport, hypervolume, igd_p, nadir_for,
                       normalized_hypervolume, score_final_set, true_nondominated_filter)
 from .optimizers import (Evaluator, RteaConfig, RunResult, environmental_select,
@@ -24,13 +24,12 @@ from .optimizers import (Evaluator, RteaConfig, RunResult, environmental_select,
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                      crowding_distance, dominates, indifferent, nondominated_sort,
                      weakly_dominates)
-from .problems import (NoiseLaw, NoisyProblem, SIGMA_GRID, evaluate_noisy,
-                       make_problem, sample_true_pf)
+from .problems import NoiseLaw, NoisyProblem, evaluate_noisy, make_problem, sample_true_pf
 from .resampling import (ArbStrategy, DecisionContext, RankStrategy, SeErrorStrategy,
                          StaticStrategy, StrengthStrategy, TimeStrategy,
                          budget_fraction_rank, budget_fraction_strength,
-                         budget_fraction_time, domination_strength, sederror_decide,
-                         should_resample, strategy_from_dict)
+                         budget_fraction_time, sederror_decide, should_resample,
+                         strategy_from_dict)
 from .variation import VariationConfig
 
 __version__ = "0.1.0"

@@ -17,9 +17,11 @@ The pieces, bottom to top:
   cloud strictly dominates another.
 * ``arb_decide`` — the adaptive resampling rule: spend another evaluation
   only while the candidate's best chance of dominating a front member sits
-  inside the uncertainty band (alpha_l, alpha_u). That chance p* is the
+  inside the uncertainty band [alpha_l, alpha_u]. That chance p* is the
   maximum of ``dominance_probability`` over the rivals, so the decision
-  runs on the same function the oracles check.
+  runs on the same function the oracles check. The band belongs to
+  :class:`~noisymoo.resampling.ArbStrategy`, which checks it once when
+  built and places p* against it with ``side``.
 
 The decision needs only the side of the band p* falls on, so ``arb_decide``
 bounds before it counts. For each objective t and rival r it counts the
@@ -37,11 +39,14 @@ every decision equals the one taken on the exact maximum.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .pareto import EvaluatedPoint, EvaluationError
+
+if TYPE_CHECKING:
+    from .resampling import ArbStrategy
 
 
 class DispersionSet:
@@ -160,31 +165,6 @@ def dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray, *, strict: b
     return np.count_nonzero(hits) / hits.size
 
 
-@dataclass(frozen=True)
-class ArbThresholds:
-    """Uncertainty band for the resampling decision.
-
-    ``alpha_l`` in (0, 0.5) is the minimum dominance potential a point must
-    show to stay interesting; ``alpha_u`` in (0.5, 1] is the confidence level
-    above which further evaluations are considered wasted.
-    """
-
-    alpha_l: float = 0.2
-    alpha_u: float = 0.9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_l < 0.5:
-            raise EvaluationError("alpha_l must lie in (0, 0.5)")
-        if not 0.5 < self.alpha_u <= 1.0:
-            raise EvaluationError("alpha_u must lie in (0.5, 1]")
-
-    def side(self, p: float) -> int:
-        """-1 below alpha_l, +1 above alpha_u, 0 inside the band."""
-        if p < self.alpha_l:
-            return -1
-        return 1 if p > self.alpha_u else 0
-
-
 def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray,
                     strict: bool) -> np.ndarray:
     """(T, R) counts of cross pairs where the candidate beats rival r on objective t.
@@ -204,7 +184,7 @@ def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray,
 
 
 def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
-               dispersion: DispersionSet, thresholds: ArbThresholds,
+               dispersion: DispersionSet, thresholds: ArbStrategy,
                n_draws: int, rng: np.random.Generator, *, weak: bool = False) -> bool:
     """Decide whether the candidate deserves another evaluation.
 
@@ -213,9 +193,10 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     member's mean, with fresh replicates on every call: the candidate's
     first, then each rival's in front order. Returns False when p* >
     alpha_u (confidently good) or p* < alpha_l (hopeless), True inside the
-    band. A candidate that is the sole front member has no comparison
-    target, which counts as p* = 0. Exact counts are taken only where the
-    per-objective bounds (module docstring) leave the side of p* open.
+    band, as ``thresholds.side`` places it. A candidate that is the sole
+    front member has no comparison target, which counts as p* = 0. Exact
+    counts are taken only where the per-objective bounds (module
+    docstring) leave the side of p* open.
     """
     if not front:
         raise EvaluationError("the front must be nonempty")

@@ -59,10 +59,11 @@ def _cmd_sweep(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
     budget = config.selection.get("prestudy_budget") if args.prestudy else None
-    records = sweep(config, out, jobs=args.jobs, budget=budget,
-                    base_seed=args.seed)
+    started = sweep(config, out, jobs=args.jobs, budget=budget, base_seed=args.seed)
+    total = len(config.slices(budget=budget)) * config.replications
     label = "prestudy" if args.prestudy else "full"
-    print(f"{label} sweep complete: {len(records)} records in {out / 'records'}")
+    print(f"{label} sweep complete: {started} of {total} runs started, "
+          f"records in {out / 'records'}")
     return 0
 
 

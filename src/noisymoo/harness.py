@@ -8,9 +8,10 @@ execution order has no effect on any record. Records are written one JSON
 file per run, keyed by fingerprint and replication, which also makes
 re-running a completed sweep a no-op.
 
-Determinism contract: the canonical serialized record excludes wall time
-(the only non-reproducible field), so identical seeds give byte-identical
-record files and reports across executions on one platform.
+Determinism contract: a record holds only reproducible fields and its file
+is its canonical JSON, so identical seeds give byte-identical record files
+and reports across executions on one platform, and a loaded record is
+exactly its file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import hashlib
 import itertools
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -30,7 +30,7 @@ from .metrics import MetricParams, score_final_set
 from .optimizers import RteaConfig, RunResult, nsga2_run, rtea_run
 from .pareto import EvaluationError
 from .problems import NoiseLaw, make_problem
-from .resampling import strategy_from_dict
+from .resampling import ResamplingStrategy, strategy_from_dict
 from .variation import VariationConfig
 
 SCHEMA_VERSION = 1
@@ -98,6 +98,13 @@ class RunSlice:
     def family(self) -> str:
         return family_of(self.strategy["kind"])
 
+    def make_strategy(self) -> ResamplingStrategy | RteaConfig:
+        """The strategy object a run uses; rtea gets its budget as ``m``."""
+        if self.strategy["kind"] == "rtea":
+            params = {k: v for k, v in self.strategy.items() if k != "kind"}
+            return RteaConfig(m=self.budget, **params)
+        return strategy_from_dict(self.strategy)
+
     @property
     def strategy_label(self) -> str:
         params = {k: v for k, v in sorted(self.strategy.items()) if k != "kind"}
@@ -132,8 +139,13 @@ class ExperimentConfig:
             raise EvaluationError("replications must be at least 1")
         if not self.problems or not self.noise or not self.strategies:
             raise EvaluationError("problems, noise, and strategies must be nonempty")
-        if self.budget < self.selection.get("prestudy_budget", 0):
+        prestudy_budget = self.selection.get("prestudy_budget", self.budget)
+        if self.budget < prestudy_budget:
             raise EvaluationError("budget must not be smaller than the prestudy budget")
+        # Build every slice's strategy now, so a bad grid value fails at load.
+        for budget in {self.budget, prestudy_budget}:
+            for slice_ in self.slices(budget):
+                slice_.make_strategy()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -201,7 +213,8 @@ def _noise_law(noise: dict) -> NoiseLaw:
 
 @dataclass
 class RunRecord:
-    """Provenance of one optimizer run plus its metric report."""
+    """Provenance of one optimizer run plus its metric report. Every field is
+    reproducible; the record's file is :meth:`canonical_json` plus a newline."""
 
     fingerprint: str
     slice: dict
@@ -212,14 +225,9 @@ class RunRecord:
     final_population: list
     returned_set: list
     metrics: dict
-    wall_time: float = 0.0
-
-    def canonical_dict(self) -> dict:
-        # Everything except wall time, which is the one non-reproducible field.
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
 
     def canonical_json(self) -> str:
-        return _canonical(self.canonical_dict())
+        return _canonical({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunRecord":
@@ -246,16 +254,12 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
     rng = np.random.default_rng(seed)
     problem = make_problem(slice_.problem, dim=slice_.dim,
                            noise=_noise_law(slice_.noise))
-    started = time.perf_counter()
-    if slice_.strategy["kind"] == "rtea":
-        params = {k: v for k, v in slice_.strategy.items() if k != "kind"}
-        cfg = RteaConfig(m=slice_.budget, **params)
-        result: RunResult = rtea_run(problem, cfg, variation, rng)
+    strategy = slice_.make_strategy()
+    if isinstance(strategy, RteaConfig):
+        result: RunResult = rtea_run(problem, strategy, variation, rng)
     else:
-        strategy = strategy_from_dict(slice_.strategy)
         result = nsga2_run(problem, strategy, slice_.mode, slice_.popsize,
                            slice_.budget, variation, rng)
-    wall = time.perf_counter() - started
     report = score_final_set(result.front, problem, metric_params)
     log = [[entry.uid, entry.generation, [float(v) for v in entry.sample]]
            for entry in result.log]
@@ -269,7 +273,6 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
         final_population=[_point_payload(p) for p in result.population],
         returned_set=[_point_payload(p) for p in result.front],
         metrics=report.as_dict(),
-        wall_time=wall,
     )
 
 
@@ -302,14 +305,13 @@ def _run_job(args) -> str:
 
 
 def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
-          budget: int | None = None, base_seed: int | None = None,
-          include_log: bool = True) -> list[RunRecord]:
+          budget: int | None = None, base_seed: int | None = None) -> int:
     """Run the full grid x replications, skipping runs whose record exists.
 
-    Runs are independent and may execute in parallel; records land in
-    ``out_dir/records`` and are re-read by :func:`load_records`, so the
-    returned list and all downstream reports are independent of execution
-    order.
+    Returns the number of runs started. Runs are independent and may
+    execute in parallel; records land in ``out_dir/records`` and nothing is
+    read back. :func:`load_records` reads them in grid order, so every
+    downstream report is independent of execution order.
     """
     base_seed = config.base_seed if base_seed is None else base_seed
     slices = config.slices(budget=budget)
@@ -330,7 +332,7 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
         else:
             for args in jobs_args:
                 _run_job(args)
-    return load_records(config, out_dir, budget=budget, include_log=include_log)
+    return len(jobs_args)
 
 
 def load_records(config: ExperimentConfig, out_dir: str | Path, budget: int | None = None,

@@ -2,10 +2,11 @@
 Rolling Tide baseline, all under a strict shared evaluation budget.
 
 Every objective-function call goes through one :class:`Evaluator`, which
-owns the budget ledger and the evaluation log; an optimizer can therefore
-never overspend, and two runs with the same seed replay the same log. When
-the budget runs out mid-generation the remaining evaluations are simply
-skipped and the generation finishes with whatever samples exist.
+counts the evaluations spent against the budget and keeps the evaluation
+log; an optimizer can therefore never overspend, and two runs with the
+same seed replay the same log. When the budget runs out mid-generation the
+remaining evaluations are simply skipped and the generation finishes with
+whatever samples exist.
 """
 
 from __future__ import annotations
@@ -26,23 +27,6 @@ MODES = ("one_shot", "sequential")
 
 
 @dataclass
-class BudgetLedger:
-    """Counts evaluations against a hard cap; spent never exceeds cap."""
-
-    cap: int
-    spent: int = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.cap - self.spent
-
-    def charge(self) -> None:
-        if self.remaining <= 0:
-            raise EvaluationError("evaluation budget exhausted")
-        self.spent += 1
-
-
-@dataclass
 class LogEntry:
     """One raw evaluation: which point, in which generation, what came back."""
 
@@ -55,24 +39,21 @@ class Evaluator:
     """The single gate to the noisy objective function.
 
     Spawning registers a new point and evaluates it once; re-evaluating
-    appends one more sample. Both return nothing useful once the ledger is
-    exhausted, so callers can keep asking and stop when refused.
+    appends one more sample. Both return nothing useful once ``spent``
+    reaches ``budget``, so callers can keep asking and stop when refused.
     """
 
     def __init__(self, problem: NoisyProblem, rng: np.random.Generator, budget: int):
         self.problem = problem
         self.rng = rng
-        self.ledger = BudgetLedger(cap=budget)
+        self.budget = budget
+        self.spent = 0
         self.log: list[LogEntry] = []
         self._next_uid = 0
 
     @property
     def remaining(self) -> int:
-        return self.ledger.remaining
-
-    @property
-    def spent(self) -> int:
-        return self.ledger.spent
+        return self.budget - self.spent
 
     def spawn(self, x: np.ndarray, generation: int) -> EvaluatedPoint | None:
         if self.remaining <= 0:
@@ -89,7 +70,7 @@ class Evaluator:
         return True
 
     def _observe(self, point: EvaluatedPoint, generation: int) -> None:
-        self.ledger.charge()
+        self.spent += 1
         y = evaluate_noisy(self.problem, point.decision, self.rng)
         point.add_sample(y)
         self.log.append(LogEntry(uid=point.uid, generation=generation, sample=y))
@@ -144,14 +125,6 @@ def environmental_select(points: list[EvaluatedPoint], popsize: int) -> list[Eva
     return [points[i] for i in survivors]
 
 
-def _decision_context(index: int, ranked: RankedPopulation, gen: int, max_gen: int,
-                      front: list[EvaluatedPoint] | None, dispersion: DispersionSet | None,
-                      rng: np.random.Generator) -> DecisionContext:
-    return DecisionContext(point_index=index, population=ranked,
-                           n_gen=min(gen, max_gen), max_gen=max_gen,
-                           front=front, dispersion=dispersion, rng=rng)
-
-
 def _resample_at_creation(point: EvaluatedPoint, parents: list[EvaluatedPoint],
                           strategy: ResamplingStrategy, ev: Evaluator, gen: int,
                           max_gen: int, dispersion: DispersionSet | None,
@@ -165,8 +138,9 @@ def _resample_at_creation(point: EvaluatedPoint, parents: list[EvaluatedPoint],
         return
     while ev.remaining > 0:
         ranked = nondominated_sort(parents + [point])
-        ctx = _decision_context(len(parents), ranked, gen, max_gen,
-                                ranked.first_front(), dispersion, rng)
+        ctx = DecisionContext(point_index=len(parents), population=ranked,
+                              n_gen=min(gen, max_gen), max_gen=max_gen,
+                              front=ranked.first_front(), dispersion=dispersion, rng=rng)
         if not should_resample(strategy, ctx):
             break
         if not ev.reevaluate(point, gen):
@@ -261,7 +235,9 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, mode: str,
             for i, point in enumerate(combined):
                 if ev.remaining <= 0:
                     break
-                ctx = _decision_context(i, ranked, gen, max_gen, front, dispersion, rng)
+                ctx = DecisionContext(point_index=i, population=ranked,
+                                      n_gen=min(gen, max_gen), max_gen=max_gen,
+                                      front=front, dispersion=dispersion, rng=rng)
                 if should_resample(strategy, ctx) and ev.reevaluate(point, gen) and arb:
                     push_newest_residual(dispersion, point)
         pop = environmental_select(combined, popsize)

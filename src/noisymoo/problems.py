@@ -45,14 +45,6 @@ class NoiseLaw:
         if self.kind == "chisq" and self.df < 1:
             raise EvaluationError("chisq noise needs df >= 1")
 
-    def scale(self, x: np.ndarray) -> float:
-        """Noise scale at decision point x; constant in this implementation.
-
-        The per-point signature exists so heteroscedastic laws can slot in,
-        but only the constant case is exercised.
-        """
-        return self.sigma
-
     def standardized(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """One batch of `size` standardized draws (zero draws for kind 'none')."""
         if self.kind == "none":
@@ -60,16 +52,6 @@ class NoiseLaw:
         if self.kind == "gaussian":
             return rng.standard_normal(size)
         return (rng.chisquare(self.df, size) - self.df) / np.sqrt(2.0 * self.df)
-
-    def lower_bound(self) -> float:
-        """Analytic infimum of a standardized draw (-inf for gaussian)."""
-        if self.kind == "chisq":
-            return -np.sqrt(self.df / 2.0)
-        return -np.inf
-
-
-# Default noise scale grid used by the benchmark harness.
-SIGMA_GRID = (0.01, 0.1, 0.5, 1.0, float(np.sqrt(2.0)), 2.0)
 
 
 @dataclass(frozen=True)
@@ -90,10 +72,6 @@ class NoisyProblem:
     def random_decision(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
 
-    def with_noise(self, noise: NoiseLaw) -> "NoisyProblem":
-        return NoisyProblem(self.name, self.dim, self.lower, self.upper,
-                            self.mean_fn, noise, self.n_objectives)
-
 
 def evaluate_noisy(problem: NoisyProblem, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One noisy evaluation: mean_fn(x) plus an independent scaled draw per objective."""
@@ -102,7 +80,7 @@ def evaluate_noisy(problem: NoisyProblem, x: np.ndarray, rng: np.random.Generato
         raise EvaluationError(f"decision vector out of bounds for {problem.name}")
     y = problem.mean_fn(x)
     eps = problem.noise.standardized(rng, problem.n_objectives)
-    return y + problem.noise.scale(x) * eps
+    return y + problem.noise.sigma * eps
 
 
 def _odd_even_index_sets(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +167,3 @@ def make_problem(name: str, dim: int = 10, noise: NoiseLaw | None = None) -> Noi
     lower, upper = _uf_bounds(key, dim)
     return NoisyProblem(name=key, dim=dim, lower=lower, upper=upper,
                         mean_fn=_MEAN_FNS[key], noise=noise or NoiseLaw())
-
-
-PROBLEM_NAMES = tuple(sorted(_MEAN_FNS))

@@ -12,7 +12,7 @@ delegates to the bootstrap dominance-probability rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -74,7 +74,13 @@ class SeErrorStrategy:
 
 @dataclass(frozen=True)
 class ArbStrategy:
-    """Adaptive resampling via bootstrap dominance probability."""
+    """Adaptive resampling via bootstrap dominance probability.
+
+    ``alpha_l`` in (0, 0.5] is the minimum dominance potential a point must
+    show to stay interesting; ``alpha_u`` in (0.5, 1] is the confidence
+    level above which further evaluations are considered wasted. Since
+    alpha_u > 0.5 >= alpha_l, the band [alpha_l, alpha_u] is never empty.
+    """
 
     alpha_l: float = 0.2
     alpha_u: float = 0.9
@@ -85,8 +91,17 @@ class ArbStrategy:
     weak_indicator: bool = False
     kind: str = field(default="arb", init=False)
 
-    def thresholds(self) -> bootstrap.ArbThresholds:
-        return bootstrap.ArbThresholds(self.alpha_l, self.alpha_u)
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha_l <= 0.5:
+            raise EvaluationError("alpha_l must lie in (0, 0.5]")
+        if not 0.5 < self.alpha_u <= 1.0:
+            raise EvaluationError("alpha_u must lie in (0.5, 1]")
+
+    def side(self, p: float) -> int:
+        """-1 below alpha_l, +1 above alpha_u, 0 inside the band."""
+        if p < self.alpha_l:
+            return -1
+        return 1 if p > self.alpha_u else 0
 
 
 ResamplingStrategy = Union[StaticStrategy, TimeStrategy, RankStrategy,
@@ -138,10 +153,6 @@ def all_strengths(pop: RankedPopulation) -> np.ndarray:
     weak = weak_dominance_matrix(pop.means)
     np.fill_diagonal(weak, False)
     return weak.sum(axis=1) / len(pop)
-
-
-def domination_strength(i: int, pop: RankedPopulation) -> float:
-    return float(all_strengths(pop)[i])
 
 
 def budget_fraction_strength(i: int, pop: RankedPopulation) -> float:
@@ -226,7 +237,7 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext) -> bool:
         if ctx.front is None or ctx.dispersion is None or ctx.rng is None:
             raise EvaluationError("arb decisions need front, dispersion and rng in the context")
         return bootstrap.arb_decide(point, ctx.front, ctx.dispersion,
-                                    strategy.thresholds(), strategy.n_boot, ctx.rng,
+                                    strategy, strategy.n_boot, ctx.rng,
                                     weak=strategy.weak_indicator)
     raise EvaluationError(f"unknown strategy kind {strategy!r}")
 
@@ -235,14 +246,7 @@ def strategy_from_dict(spec: dict) -> ResamplingStrategy:
     """Build a strategy from a config mapping with a 'kind' key."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
-    makers = {
-        "static": StaticStrategy,
-        "time": TimeStrategy,
-        "rank": RankStrategy,
-        "strength": StrengthStrategy,
-        "sederror": SeErrorStrategy,
-        "arb": ArbStrategy,
-    }
+    makers = {cls.kind: cls for cls in get_args(ResamplingStrategy)}
     if kind not in makers:
         raise EvaluationError(f"unknown resampling kind {kind!r}")
     return makers[kind](**spec)

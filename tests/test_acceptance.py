@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from noisymoo.bootstrap import bootstrap_means, dominance_probability
-from noisymoo.harness import (ExperimentConfig, report, run_single,
+from noisymoo.harness import (ExperimentConfig, load_records, report, run_single,
                               select_params_prestudy, select_params_split, sweep)
 from noisymoo.metrics import hypervolume, true_nondominated_filter
 from noisymoo.optimizers import environmental_select
@@ -171,8 +171,10 @@ def test_criterion_7_budget_exactness_and_determinism(tmp_path):
     b = run_single(slice_, 0, 777)
     byte_identical = a.canonical_json() == b.canonical_json()
 
-    records_1 = sweep(config, tmp_path / "one")
-    records_2 = sweep(config, tmp_path / "two", jobs=2)
+    sweep(config, tmp_path / "one")
+    sweep(config, tmp_path / "two", jobs=2)
+    records_1 = load_records(config, tmp_path / "one")
+    records_2 = load_records(config, tmp_path / "two")
     exact = all(r.spent == 400 and len(r.eval_log) == 400
                 for r in records_1 + records_2)
     paths_1 = report(records_1, tmp_path / "one")
@@ -196,7 +198,8 @@ def desk_scale_records(tmp_path_factory):
         selection={"n_select": 5, "n_compare": 5, "n_repeats": 10,
                    "prestudy_budget": 2000})
     out = tmp_path_factory.mktemp("desk_scale")
-    records = sweep(config, out, jobs=2)
+    sweep(config, out, jobs=2)
+    records = load_records(config, out)
     by = {}
     for r in records:
         key = (r.slice["noise"]["kind"], r.slice["strategy"]["kind"],

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymoo import bootstrap
-from noisymoo.bootstrap import (ArbThresholds, DispersionSet, arb_decide,
-                                bootstrap_means, bootstrap_means_pooled,
-                                dominance_probability, push_newest_residual,
-                                push_residuals)
+from noisymoo.bootstrap import (DispersionSet, arb_decide, bootstrap_means,
+                                bootstrap_means_pooled, dominance_probability,
+                                push_newest_residual, push_residuals)
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
+from noisymoo.resampling import ArbStrategy
 
 from .oracles import brute_dominance_probability
 
@@ -202,14 +202,14 @@ class TestArbDecision:
         ds = self._tiny_pool()
         candidate = point((0, 0))
         rival = point((1, 1), (1, 1))
-        assert arb_decide(candidate, [rival], ds, ArbThresholds(0.1, 0.9),
+        assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.1, alpha_u=0.9),
                           100, np.random.default_rng(0)) is False
 
     def test_hopeless_stops(self):
         ds = self._tiny_pool()
         candidate = point((2, 2))
         rival = point((1, 1), (1, 1))
-        assert arb_decide(candidate, [rival], ds, ArbThresholds(0.1, 0.9),
+        assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.1, alpha_u=0.9),
                           100, np.random.default_rng(0)) is False
 
     def test_uncertain_band_continues(self):
@@ -217,25 +217,30 @@ class TestArbDecision:
         ds = self._tiny_pool(delta=0.5)
         candidate = point((1, 1))
         rival = point((1, 1), (1, 1))
-        assert arb_decide(candidate, [rival], ds, ArbThresholds(0.2, 0.9),
+        assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
                           100, np.random.default_rng(0)) is True
 
     def test_candidate_excluded_from_own_front(self):
         ds = self._tiny_pool()
         candidate = point((0, 0))
-        assert arb_decide(candidate, [candidate], ds, ArbThresholds(0.2, 0.9),
+        assert arb_decide(candidate, [candidate], ds, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
                           100, np.random.default_rng(0)) is False
 
     def test_empty_front_rejected(self):
         with pytest.raises(EvaluationError):
-            arb_decide(point((0, 0)), [], self._tiny_pool(), ArbThresholds(),
+            arb_decide(point((0, 0)), [], self._tiny_pool(), ArbStrategy(),
                        100, np.random.default_rng(0))
 
     def test_threshold_ranges_enforced(self):
         with pytest.raises(EvaluationError):
-            ArbThresholds(alpha_l=0.6, alpha_u=0.9)
+            ArbStrategy(alpha_l=0.6, alpha_u=0.9)
         with pytest.raises(EvaluationError):
-            ArbThresholds(alpha_l=0.1, alpha_u=0.4)
+            ArbStrategy(alpha_l=0.1, alpha_u=0.4)
+
+    def test_alpha_l_boundary_is_one_half(self):
+        assert ArbStrategy(alpha_l=0.5, alpha_u=0.75).side(0.5) == 0
+        with pytest.raises(EvaluationError):
+            ArbStrategy(alpha_l=float(np.nextafter(0.5, 1.0)), alpha_u=0.75)
 
     @pytest.mark.parametrize("weak", [False, True])
     def test_matches_pairwise_maximum(self, weak):
@@ -245,7 +250,7 @@ class TestArbDecision:
             ds.push(rng.normal(size=2))
         candidate = point(*[tuple(rng.normal(size=2)) for _ in range(3)])
         rivals = [point(*[tuple(rng.normal(size=2)) for _ in range(k)]) for k in (1, 2, 4)]
-        thresholds = ArbThresholds(0.2, 0.9)
+        thresholds = ArbStrategy(alpha_l=0.2, alpha_u=0.9)
         decision = arb_decide(candidate, rivals, ds, thresholds, 100,
                               np.random.default_rng(77), weak=weak)
         rng2 = np.random.default_rng(77)
@@ -291,7 +296,8 @@ class TestArbDecision:
                 bands.append((alpha, 0.9) if p_star < 0.5 else (0.2, alpha))
             for alpha_l, alpha_u in bands:
                 try:
-                    thresholds = ArbThresholds(float(alpha_l), float(alpha_u))
+                    thresholds = ArbStrategy(alpha_l=float(alpha_l),
+                                             alpha_u=float(alpha_u))
                 except EvaluationError:
                     continue  # p* at 0 or 1 leaves no room on one side
                 exact_calls.clear()

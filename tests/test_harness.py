@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from noisymoo import harness
 from noisymoo.harness import (AGGREGATE_HEADER, HV_VS_SIGMA_HEADER, PER_RUN_HEADER,
                               ExperimentConfig, RunRecord, RunSlice, derive_seed,
-                              family_of, load_records, record_path, report, run_single,
-                              select_params_prestudy, select_params_split, sweep,
-                              write_record)
+                              family_of, load_record, load_records, record_path, report,
+                              run_single, select_params_prestudy, select_params_split,
+                              sweep, write_record)
 from noisymoo.pareto import EvaluationError
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
 
 def tiny_config(**overrides):
@@ -77,6 +80,21 @@ class TestConfigAndSlices:
                                         "strategies": [{"kind": "static"}],
                                         "bogus": 1})
 
+    @pytest.mark.parametrize("entry", [{"kind": "arb", "grid": {"alpha_l": [0.2, 0.6]}},
+                                       {"kind": "rtea", "grid": {"z": [0.1, 1.0]}}])
+    def test_bad_strategy_grid_fails_at_load(self, entry):
+        with pytest.raises(EvaluationError):
+            ExperimentConfig.from_dict({"problems": ["uf1"], "noise": [{"kind": "none"}],
+                                        "strategies": [entry]})
+
+    def test_every_desk_slice_builds(self):
+        config = ExperimentConfig.load(DESK_CONFIG)
+        for budget in (config.budget, config.selection["prestudy_budget"]):
+            slices = config.slices(budget)
+            assert len(slices) == 1482
+            for slice_ in slices:
+                slice_.make_strategy()
+
     def test_family_grouping(self):
         assert family_of("static") == "static"
         assert family_of("rank") == family_of("sederror") == "dynamic"
@@ -104,23 +122,38 @@ class TestRunSingle:
         record = run_single(slice_, 0, 5)
         assert 0.0 <= record.hv <= 1.01
 
-    def test_wall_time_excluded_from_canonical_bytes(self):
+    def test_desk_arb_slice_with_alpha_l_one_half_spends_budget(self):
+        config = ExperimentConfig.load(DESK_CONFIG)
+        slice_ = next(s for s in config.slices(budget=400)
+                      if s.strategy == {"kind": "arb", "alpha_l": 0.5, "alpha_u": 0.75}
+                      and s.noise == {"kind": "gaussian", "sigma": 0.5})
+        record = run_single(slice_, 0, derive_seed(config.base_seed, slice_.fingerprint, 0),
+                            config.metric_params(), config.variation_config())
+        assert record.spent == 400
+        assert len(record.eval_log) == 400
+
+    def test_loaded_record_is_its_file(self, tmp_path):
         slice_ = tiny_config().slices()[0]
-        record = run_single(slice_, 0, 1)
-        assert record.wall_time > 0
-        assert "wall_time" not in record.canonical_dict()
+        path = tmp_path / "run.json"
+        write_record(path, run_single(slice_, 0, 1))
+        assert load_record(path).canonical_json() + "\n" == path.read_text()
 
 
 class TestSweep:
-    def test_record_count_and_idempotency(self, tmp_path):
+    def test_record_count_and_idempotency(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep read a record back")
+
+        # sweep only runs; it reads no record, not even to count them.
+        monkeypatch.setattr(harness, "load_record", refuse)
         config = tiny_config()
-        records = sweep(config, tmp_path)
-        assert len(records) == len(config.slices()) * config.replications
+        n_runs = len(config.slices()) * config.replications
+        assert sweep(config, tmp_path) == n_runs
         before = {p.name: p.read_bytes() for p in (tmp_path / "records").iterdir()}
-        records_again = sweep(config, tmp_path)
+        assert len(before) == n_runs
+        assert sweep(config, tmp_path) == 0
         after = {p.name: p.read_bytes() for p in (tmp_path / "records").iterdir()}
         assert before == after
-        assert len(records_again) == len(records)
 
     def test_partial_temp_file_is_not_a_record(self, tmp_path):
         # A writer killed before its rename leaves only a truncated temp file.
@@ -134,8 +167,9 @@ class TestSweep:
         partial.write_bytes(whole[: len(whole) // 2])
         with pytest.raises(EvaluationError, match=f"{slice_.fingerprint}, 2"):
             load_records(config, tmp_path)
-        records = sweep(config, tmp_path)
-        assert len(records) == len(config.slices()) * config.replications
+        assert sweep(config, tmp_path) == 1
+        assert len(load_records(config, tmp_path)) == \
+               len(config.slices()) * config.replications
         assert path.read_bytes() == whole
 
     def test_failed_write_leaves_old_record_and_no_temp_file(self, tmp_path, monkeypatch):
@@ -157,8 +191,10 @@ class TestSweep:
 
     def test_execution_order_does_not_change_records(self, tmp_path):
         config = tiny_config()
-        serial = sweep(config, tmp_path / "serial", jobs=1)
-        parallel = sweep(config, tmp_path / "parallel", jobs=2)
+        sweep(config, tmp_path / "serial", jobs=1)
+        sweep(config, tmp_path / "parallel", jobs=2)
+        serial = load_records(config, tmp_path / "serial")
+        parallel = load_records(config, tmp_path / "parallel")
         assert [r.canonical_json() for r in serial] == \
                [r.canonical_json() for r in parallel]
 

@@ -8,8 +8,8 @@ from noisymoo.resampling import (ArbStrategy, DecisionContext, RankStrategy,
                                  SeErrorStrategy, StaticStrategy, StrengthStrategy,
                                  TimeStrategy, all_strengths, budget_fraction_rank,
                                  budget_fraction_strength, budget_fraction_time,
-                                 domination_strength, sederror_decide,
-                                 should_resample, standard_error, strategy_from_dict)
+                                 sederror_decide, should_resample, standard_error,
+                                 strategy_from_dict)
 
 from .oracles import brute_strengths
 
@@ -31,15 +31,15 @@ def ctx_for(pop, index=0, n_gen=0, max_gen=10):
 class TestStrength:
     def test_dominating_three_of_four(self):
         pop = ranked([(0, 0), (1, 1), (2, 2), (3, 3)])
-        assert domination_strength(0, pop) == pytest.approx(0.75)
+        assert all_strengths(pop)[0] == pytest.approx(0.75)
 
     def test_dominated_by_everything(self):
         pop = ranked([(3, 3), (1, 1), (0, 0), (2, 2)])
-        assert domination_strength(0, pop) == 0.0
+        assert all_strengths(pop)[0] == 0.0
 
     def test_mutually_incomparable_all_zero(self):
         pop = ranked([(0, 3), (1, 2), (2, 1), (3, 0)])
-        assert [domination_strength(i, pop) for i in range(4)] == [0, 0, 0, 0]
+        assert [all_strengths(pop)[i] for i in range(4)] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("n_obj", [2, 3])
     def test_all_strengths_match_bruteforce_with_ties(self, n_obj):
@@ -56,7 +56,7 @@ class TestStrength:
     def test_fraction_ratio_case(self):
         # strengths 0.75, 0.25, 0, 0 -> fractions 1, 1/3, 0, 0
         pop = ranked([(0, 0), (1, 3), (2, 4), (3, 0.5)])
-        assert [domination_strength(i, pop) for i in range(4)] == [0.75, 0.25, 0, 0]
+        assert [all_strengths(pop)[i] for i in range(4)] == [0.75, 0.25, 0, 0]
         fr = [budget_fraction_strength(i, pop) for i in range(4)]
         assert fr == pytest.approx([1.0, 1 / 3, 0.0, 0.0])
 
@@ -162,7 +162,7 @@ class TestDecide:
         for i in range(size):
             assert 0.0 <= budget_fraction_rank(i, pop) <= 1.0
             assert 0.0 <= budget_fraction_strength(i, pop) <= 1.0
-            assert 0.0 <= domination_strength(i, pop) <= 1.0
+            assert 0.0 <= all_strengths(pop)[i] <= 1.0
 
     def test_rank_fraction_nonincreasing_in_rank(self):
         pop = ranked([(0, 0), (1, 1), (2, 2), (3, 3)])

@@ -24,7 +24,8 @@ from .optimizers import (Evaluator, RteaConfig, RunResult, environmental_select,
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                      crowding_distance, dominates, indifferent, nondominated_sort,
                      weakly_dominates)
-from .problems import NoiseLaw, NoisyProblem, evaluate_noisy, make_problem, sample_true_pf
+from .problems import (NoiseLaw, NoisyProblem, evaluate_noisy, make_problem, sample_true_pf,
+                       true_mean)
 from .resampling import (ArbStrategy, DecisionContext, RankStrategy, SeErrorStrategy,
                          StaticStrategy, StrengthStrategy, TimeStrategy,
                          budget_fraction_rank, budget_fraction_strength,

@@ -3,9 +3,11 @@
 Subcommands: ``run`` one slice, ``sweep`` the whole grid, ``select`` one of
 the two unbiased comparison protocols, ``report`` the CSV outputs.
 ``select`` and ``report`` only read the records a sweep wrote; with any
-record missing they list it and exit 2 without running anything. The
-output root defaults to --out, then $NOISYMOO_OUT, then the config's
-output_dir.
+record missing they list it and exit 2 without running anything. A config
+that fails to load (an unknown key or strategy parameter, a value out of
+range) is one line on stderr and exit 2, before anything runs or is
+written. The output root defaults to --out, then $NOISYMOO_OUT, then the
+config's output_dir.
 """
 
 from __future__ import annotations
@@ -33,12 +35,7 @@ def _out_dir(args, config: ExperimentConfig) -> Path:
     return Path(config.output_dir)
 
 
-def _load(args) -> ExperimentConfig:
-    return ExperimentConfig.load(args.config)
-
-
-def _cmd_run(args) -> int:
-    config = _load(args)
+def _cmd_run(args, config: ExperimentConfig) -> int:
     slices = config.slices()
     if not 0 <= args.slice < len(slices):
         print(f"slice index out of range (0..{len(slices) - 1})", file=sys.stderr)
@@ -55,8 +52,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load(args)
+def _cmd_sweep(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
     budget = config.selection.get("prestudy_budget") if args.prestudy else None
     started = sweep(config, out, jobs=args.jobs, budget=budget, base_seed=args.seed)
@@ -67,8 +63,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_select(args) -> int:
-    config = _load(args)
+def _cmd_select(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
     try:
         full = load_records(config, out, include_log=False)
@@ -96,8 +91,7 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    config = _load(args)
+def _cmd_report(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
     try:
         records = load_records(config, out, include_log=False)
@@ -150,7 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        config = ExperimentConfig.load(args.config)
+    except EvaluationError as exc:
+        print(f"noisymoo: bad config {args.config}: {exc}", file=sys.stderr)
+        return 2
+    return args.fn(args, config)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from .bootstrap import DispersionSet, push_newest_residual
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                      dominates, nondominated_sort)
-from .problems import NoisyProblem, evaluate_noisy
+from .problems import NoisyProblem, evaluate_noisy, true_mean
 from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy,
                          StaticStrategy, should_resample)
 from .variation import VariationConfig, make_children
@@ -38,9 +38,11 @@ class LogEntry:
 class Evaluator:
     """The single gate to the noisy objective function.
 
-    Spawning registers a new point and evaluates it once; re-evaluating
-    appends one more sample. Both return nothing useful once ``spent``
-    reaches ``budget``, so callers can keep asking and stop when refused.
+    Spawning computes a new point's ``true_mean`` (raising, before any
+    charge, if it is out of bounds) and evaluates it once; re-evaluating
+    appends one more sample, one noise draw added to that kept mean. Both
+    return nothing useful once ``spent`` reaches ``budget``, so callers can
+    keep asking and stop when refused.
     """
 
     def __init__(self, problem: NoisyProblem, rng: np.random.Generator, budget: int):
@@ -58,7 +60,8 @@ class Evaluator:
     def spawn(self, x: np.ndarray, generation: int) -> EvaluatedPoint | None:
         if self.remaining <= 0:
             return None
-        point = EvaluatedPoint(decision=x, uid=self._next_uid)
+        mean = true_mean(self.problem, x)
+        point = EvaluatedPoint(decision=x, uid=self._next_uid, true_mean=mean)
         self._next_uid += 1
         self._observe(point, generation)
         return point
@@ -71,7 +74,7 @@ class Evaluator:
 
     def _observe(self, point: EvaluatedPoint, generation: int) -> None:
         self.spent += 1
-        y = evaluate_noisy(self.problem, point.decision, self.rng)
+        y = evaluate_noisy(self.problem, point.true_mean, self.rng)
         point.add_sample(y)
         self.log.append(LogEntry(uid=point.uid, generation=generation, sample=y))
 

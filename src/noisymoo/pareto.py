@@ -125,32 +125,39 @@ def crowding_distance(front: np.ndarray) -> np.ndarray:
 class EvaluatedPoint:
     """A decision vector with its raw objective samples and cached mean.
 
-    ``mean`` is kept equal to the component-wise average of ``samples``;
-    it is recomputed from the full sample list on every append so the
-    1e-12 accumulation tolerance holds regardless of sample count.
+    ``mean`` is kept equal to the component-wise average of ``samples``: a
+    running sum over the samples in arrival order, divided by the count.
+    numpy's ``np.mean(samples, axis=0)`` sums the rows in that same order
+    for T >= 2 objectives, so the two agree bit for bit. ``true_mean`` is
+    the noise-free mean the :class:`~noisymoo.optimizers.Evaluator` computed
+    when it spawned the point (None for a point built by hand).
     """
 
     decision: np.ndarray
     samples: list[np.ndarray] = field(default_factory=list)
     mean: np.ndarray | None = None
     uid: int = -1
+    true_mean: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _sum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # (sample count, read-only scaled residuals) from the last computation.
     _residuals: tuple[int, np.ndarray] | None = field(default=None, init=False,
                                                       repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.decision = np.asarray(self.decision, dtype=float)
-        self.samples = [np.asarray(s, dtype=float) for s in self.samples]
-        if self.samples:
-            self.mean = np.mean(self.samples, axis=0)
+        samples, self.samples = self.samples, []
+        for y in samples:
+            self.add_sample(y)
 
     @property
     def count(self) -> int:
         return len(self.samples)
 
     def add_sample(self, y: np.ndarray) -> None:
-        self.samples.append(np.asarray(y, dtype=float))
-        self.mean = np.mean(self.samples, axis=0)
+        y = np.asarray(y, dtype=float)
+        self.samples.append(y)
+        self._sum = y if self._sum is None else self._sum + y
+        self.mean = self._sum / len(self.samples)
         self._residuals = None
 
     def scaled_residuals(self) -> np.ndarray:

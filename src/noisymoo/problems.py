@@ -9,6 +9,7 @@ f2 = 1 - sqrt(f1) with f1 in [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -27,10 +28,10 @@ class NoiseLaw:
     mean 0 and variance 1 and bounds it below by -sqrt(df / 2). ``sigma``
     is the constant scale multiplying each standardized draw.
 
-    Random-draw accounting per ``evaluate_noisy`` call: ``gaussian`` and
-    ``chisq`` consume exactly one batch of T draws from the stream
-    (``standard_normal(T)`` resp. ``chisquare(df, T)``); ``none`` consumes
-    nothing.
+    Random-draw accounting per ``evaluate_noisy`` call, that is per sample:
+    ``gaussian`` and ``chisq`` consume exactly one batch of T draws from the
+    stream (``standard_normal(T)`` resp. ``chisquare(df, T)``); ``none``
+    consumes nothing. Computing a point's true mean draws nothing.
     """
 
     kind: str = "none"
@@ -67,39 +68,53 @@ class NoisyProblem:
     n_objectives: int = 2
 
     def in_bounds(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool((x >= self.lower).all() and (x <= self.upper).all())
 
     def random_decision(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lower, self.upper)
 
 
-def evaluate_noisy(problem: NoisyProblem, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One noisy evaluation: mean_fn(x) plus an independent scaled draw per objective."""
+def true_mean(problem: NoisyProblem, x: np.ndarray) -> np.ndarray:
+    """The noise-free objective vector mean_fn(x), read-only; x must lie in
+    bounds. Computed once per point and passed to every :func:`evaluate_noisy`."""
     x = np.asarray(x, dtype=float)
     if not problem.in_bounds(x):
         raise EvaluationError(f"decision vector out of bounds for {problem.name}")
-    y = problem.mean_fn(x)
+    mean = np.array(problem.mean_fn(x), dtype=float)  # own copy: mean_fn may alias x
+    mean.flags.writeable = False
+    return mean
+
+
+def evaluate_noisy(problem: NoisyProblem, mean: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """One noisy evaluation at a point whose :func:`true_mean` is ``mean``:
+    mean + sigma * one standardized draw per objective."""
     eps = problem.noise.standardized(rng, problem.n_objectives)
-    return y + problem.noise.sigma * eps
+    return mean + problem.noise.sigma * eps
 
 
-def _odd_even_index_sets(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # 1-based variable indices j = 2..dim split by parity, as in the UF suite.
+@lru_cache(maxsize=None)
+def _index_sets(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # The UF suite's 1-based variable indices j = 2..dim, the phase j*pi/dim
+    # of UF1 and UF2, and the 0-based positions in x[1:] of the odd and the
+    # even j. Built once per dim and shared, hence read-only.
+    if dim < 3:
+        raise EvaluationError("UF problems need at least 3 decision variables")
     j = np.arange(2, dim + 1)
-    return j[j % 2 == 1], j[j % 2 == 0]
+    sets = (j, j * np.pi / dim, np.flatnonzero(j % 2 == 1), np.flatnonzero(j % 2 == 0))
+    for a in sets:
+        a.flags.writeable = False
+    return sets
 
 
 def mean_fn_uf1(x: np.ndarray) -> np.ndarray:
     """UF1: sine-shifted tail variables, front f2 = 1 - sqrt(f1)."""
     x = np.asarray(x, dtype=float)
-    dim = x.size
-    if dim < 3:
-        raise EvaluationError("UF1 needs at least 3 decision variables")
-    j_odd, j_even = _odd_even_index_sets(dim)
-    shift = np.sin(6.0 * np.pi * x[0] + np.arange(2, dim + 1) * np.pi / dim)
+    _, j_phase, i_odd, i_even = _index_sets(x.size)
+    shift = np.sin(6.0 * np.pi * x[0] + j_phase)
     dev = (x[1:] - shift) ** 2
-    f1 = x[0] + 2.0 / j_odd.size * dev[j_odd - 2].sum()
-    f2 = 1.0 - np.sqrt(x[0]) + 2.0 / j_even.size * dev[j_even - 2].sum()
+    f1 = x[0] + 2.0 / i_odd.size * dev[i_odd].sum()
+    f2 = 1.0 - np.sqrt(x[0]) + 2.0 / i_even.size * dev[i_even].sum()
     return np.array([f1, f2])
 
 
@@ -107,15 +122,12 @@ def mean_fn_uf2(x: np.ndarray) -> np.ndarray:
     """UF2: cosine/sine-modulated tail deviations, front f2 = 1 - sqrt(f1)."""
     x = np.asarray(x, dtype=float)
     dim = x.size
-    if dim < 3:
-        raise EvaluationError("UF2 needs at least 3 decision variables")
-    j_odd, j_even = _odd_even_index_sets(dim)
-    j = np.arange(2, dim + 1)
+    j, j_phase, i_odd, i_even = _index_sets(dim)
     envelope = 0.3 * x[0] ** 2 * np.cos(24.0 * np.pi * x[0] + 4.0 * j * np.pi / dim) + 0.6 * x[0]
-    phase = 6.0 * np.pi * x[0] + j * np.pi / dim
+    phase = 6.0 * np.pi * x[0] + j_phase
     y = np.where(j % 2 == 1, x[1:] - envelope * np.cos(phase), x[1:] - envelope * np.sin(phase))
-    f1 = x[0] + 2.0 / j_odd.size * (y[j_odd - 2] ** 2).sum()
-    f2 = 1.0 - np.sqrt(x[0]) + 2.0 / j_even.size * (y[j_even - 2] ** 2).sum()
+    f1 = x[0] + 2.0 / i_odd.size * (y[i_odd] ** 2).sum()
+    f2 = 1.0 - np.sqrt(x[0]) + 2.0 / i_even.size * (y[i_even] ** 2).sum()
     return np.array([f1, f2])
 
 
@@ -123,17 +135,14 @@ def mean_fn_uf3(x: np.ndarray) -> np.ndarray:
     """UF3: power-curve tail with a multiplicative cosine term, front f2 = 1 - sqrt(f1)."""
     x = np.asarray(x, dtype=float)
     dim = x.size
-    if dim < 3:
-        raise EvaluationError("UF3 needs at least 3 decision variables")
-    j_odd, j_even = _odd_even_index_sets(dim)
-    j = np.arange(2, dim + 1)
+    j, _, i_odd, i_even = _index_sets(dim)
     y = x[1:] - x[0] ** (0.5 * (1.0 + 3.0 * (j - 2.0) / (dim - 2.0)))
     cos_term = np.cos(20.0 * y * np.pi / np.sqrt(j))
-    odd = y[j_odd - 2]
-    even = y[j_even - 2]
-    f1 = x[0] + 2.0 / j_odd.size * (4.0 * (odd ** 2).sum() - 2.0 * cos_term[j_odd - 2].prod() + 2.0)
+    odd = y[i_odd]
+    even = y[i_even]
+    f1 = x[0] + 2.0 / i_odd.size * (4.0 * (odd ** 2).sum() - 2.0 * cos_term[i_odd].prod() + 2.0)
     f2 = (1.0 - np.sqrt(x[0])
-          + 2.0 / j_even.size * (4.0 * (even ** 2).sum() - 2.0 * cos_term[j_even - 2].prod() + 2.0))
+          + 2.0 / i_even.size * (4.0 * (even ** 2).sum() - 2.0 * cos_term[i_even].prod() + 2.0))
     return np.array([f1, f2])
 
 

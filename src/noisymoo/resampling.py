@@ -11,7 +11,7 @@ delegates to the bootstrap dominance-probability rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union, get_args
 
 import numpy as np
@@ -249,4 +249,7 @@ def strategy_from_dict(spec: dict) -> ResamplingStrategy:
     makers = {cls.kind: cls for cls in get_args(ResamplingStrategy)}
     if kind not in makers:
         raise EvaluationError(f"unknown resampling kind {kind!r}")
+    unknown = sorted(set(spec) - {f.name for f in fields(makers[kind]) if f.init})
+    if unknown:
+        raise EvaluationError(f"unknown {kind} parameter(s): {', '.join(unknown)}")
     return makers[kind](**spec)

@@ -96,3 +96,22 @@ def test_output_dir_from_environment(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv("NOISYMOO_OUT", str(env_out))
     assert main(["run", "--config", str(config_path), "--slice", "0"]) == 0
     assert (env_out / "records").exists()
+
+
+BAD_ARB_GRIDS = {"alpha": {"alpha": [0.2]}, "alpha_l": {"alpha_l": [0.6]}}
+COMMANDS = {"run": ["--slice", "0"], "sweep": ["--jobs", "1"], "report": [],
+            "select": ["--protocol", "split"]}
+
+
+@pytest.mark.parametrize("param", sorted(BAD_ARB_GRIDS))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_bad_config_exits_2_with_one_line(command, param, config_path, tmp_path, capsys):
+    config = json.loads(config_path.read_text())
+    config["strategies"] = [{"kind": "arb", "grid": BAD_ARB_GRIDS[param]}]
+    config_path.write_text(json.dumps(config))
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            *COMMANDS[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and param in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

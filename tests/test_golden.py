@@ -7,7 +7,10 @@ arb decisions read holds about 12 points on average, so the bounds and
 exact counts of ``arb_decide`` are both exercised. Any change to a
 random-stream order, a decision rule or the record layout changes a
 digest, so a refactor that must keep records byte-identical shows it here
-in seconds instead of waiting for the desk-scale criterion.
+in seconds instead of waiting for the desk-scale criterion. Two more slices
+cover the other mean functions and noise kinds: UF2 without noise (static
+n = 2, so every re-evaluation repeats the mean exactly) and UF3 under
+chi-square noise (df 1, sigma 1.0) with arb.
 """
 
 import hashlib
@@ -42,15 +45,21 @@ GOLDEN = {
                          "budget": 600}),
     "rtea": ({"kind": "rtea", "k": 1, "z": 0.1, "p": 6}, "rtea",
              "b75081fdaaff7c3ef895894620b2bf2b5433a71ca87da99971b1d6f3bde35792", {}),
+    "uf2_none_static": ({"kind": "static", "n": 2}, "one_shot",
+                        "98a281ea96af44d45cb0d2e9481589a7a880ae74f2976a1c3c78cf51d2ec4dab",
+                        {"problem": "uf2", "noise": {"kind": "none"}}),
+    "uf3_chisq_arb": (ARB, "sequential",
+                      "020784d7c8ab14015b698795a06260a520dcb8b3522a5d0e174274e07b321889",
+                      {"problem": "uf3", "noise": {"kind": "chisq", "sigma": 1.0, "df": 1}}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_record_digest_is_pinned(name):
     strategy, mode, digest, overrides = GOLDEN[name]
-    fields = {"noise": {"kind": "gaussian", "sigma": 0.5}, "popsize": 6, "budget": 300,
-              **overrides}
-    slice_ = RunSlice(problem="uf1", dim=10, strategy=strategy, mode=mode, **fields)
+    fields = {"problem": "uf1", "noise": {"kind": "gaussian", "sigma": 0.5}, "popsize": 6,
+              "budget": 300, **overrides}
+    slice_ = RunSlice(dim=10, strategy=strategy, mode=mode, **fields)
     record = run_single(slice_, 0, derive_seed(BASE_SEED, slice_.fingerprint, 0))
     assert record.spent == fields["budget"]
     assert hashlib.sha256(record.canonical_json().encode()).hexdigest() == digest

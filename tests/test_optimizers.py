@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,45 @@ class TestEvaluator:
         assert ev.reevaluate(a, 0) is False
         assert ev.spawn(problem.random_decision(rng), 0) is None
         assert ev.spent == 2
+
+    def test_refused_spawn_charges_nothing(self):
+        problem = make_problem("uf1")
+        rng = np.random.default_rng(0)
+        ev = Evaluator(problem, rng, budget=5)
+        with pytest.raises(EvaluationError):
+            ev.spawn(np.full(10, 2.0), 0)
+        assert ev.spent == len(ev.log) == 0
+        point = ev.spawn(problem.random_decision(rng), 0)
+        assert point.uid == 0
+        assert ev.spent == len(ev.log) == 1
+
+    def test_spawn_keeps_true_mean_for_every_sample(self):
+        problem = make_problem("uf2")  # no noise: every sample is the true mean
+        rng = np.random.default_rng(1)
+        ev = Evaluator(problem, rng, budget=4)
+        point = ev.spawn(problem.random_decision(rng), 0)
+        for _ in range(3):
+            ev.reevaluate(point, 0)
+        assert np.array_equal(point.true_mean, problem.mean_fn(point.decision))
+        assert not point.true_mean.flags.writeable
+        assert all(np.array_equal(y, point.true_mean) for y in point.samples)
+
+    @pytest.mark.parametrize("kind", ["nsga2", "rtea"])
+    def test_mean_fn_runs_once_per_point(self, kind):
+        base = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
+        calls = []
+
+        def counting_mean_fn(x):
+            calls.append(1)
+            return base.mean_fn(x)
+        problem = dataclasses.replace(base, mean_fn=counting_mean_fn)
+        rng = np.random.default_rng(2)
+        if kind == "nsga2":
+            res = nsga2_run(problem, StaticStrategy(n=3), "one_shot", 10, 300, VAR, rng)
+        else:
+            res = rtea_run(problem, RteaConfig(m=300, p=10), VAR, rng)
+        n_points = len({e.uid for e in res.log})
+        assert len(res.log) == 300 > n_points == len(calls)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=10, deadline=None)

@@ -165,6 +165,25 @@ class TestEvaluatedPoint:
         with pytest.raises(EvaluationError):
             pt.scaled_residuals()
 
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_running_mean_is_bit_equal_to_np_mean(self, t):
+        # The running sum adds samples in arrival order, which is the order
+        # numpy reduces axis 0 in for T >= 2; the means agree exactly at
+        # every count, across scales, whether samples are added one by one
+        # or passed to the constructor.
+        rng = np.random.default_rng(40 + t)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(10):
+                n = int(rng.integers(1, 301))
+                centre = rng.uniform(-5, 5, t)
+                samples = list(scale * (centre + rng.standard_normal((n, t))))
+                pt = EvaluatedPoint(decision=vec(0, 0))
+                for k, y in enumerate(samples, 1):
+                    pt.add_sample(y)
+                    assert np.array_equal(pt.mean, np.mean(samples[:k], axis=0))
+                built = EvaluatedPoint(decision=vec(0, 0), samples=samples)
+                assert np.array_equal(built.mean, np.mean(samples, axis=0))
+
     @given(hnp.arrays(dtype=float, shape=st.tuples(st.integers(1, 20), st.just(2)),
                       elements=st.floats(-100, 100, allow_nan=False)))
     def test_mean_within_tolerance(self, samples):

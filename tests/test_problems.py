@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from noisymoo.pareto import EvaluationError, dominates
-from noisymoo.problems import (NoiseLaw, evaluate_noisy, make_problem,
+from noisymoo.problems import (NoiseLaw, _index_sets, evaluate_noisy, make_problem,
                                mean_fn_uf1, mean_fn_uf2, mean_fn_uf3,
-                               sample_true_pf)
+                               sample_true_pf, true_mean)
 
 
 # Independent transcription of the three test functions, scalar loops only,
@@ -111,7 +111,8 @@ class TestNoiseLaw:
         problem = make_problem("uf1")
         rng = np.random.default_rng(0)
         x = problem.random_decision(rng)
-        assert np.array_equal(evaluate_noisy(problem, x, rng), problem.mean_fn(x))
+        assert np.array_equal(evaluate_noisy(problem, true_mean(problem, x), rng),
+                              problem.mean_fn(x))
 
     def test_gaussian_monte_carlo_mean(self):
         # CLT bound 3 * sigma / sqrt(n): 0.003 for the 10^4-call loop through
@@ -119,7 +120,8 @@ class TestNoiseLaw:
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.1))
         rng = np.random.default_rng(1)
         x = manifold_point("uf1", 0.25)
-        calls = np.array([evaluate_noisy(problem, x, rng) for _ in range(10 ** 4)])
+        mean = true_mean(problem, x)
+        calls = np.array([evaluate_noisy(problem, mean, rng) for _ in range(10 ** 4)])
         assert np.all(np.abs(calls.mean(axis=0) - problem.mean_fn(x)) < 0.003)
         eps = problem.noise.standardized(rng, 10 ** 6)
         assert abs(0.1 * eps.mean()) < 0.001
@@ -151,19 +153,66 @@ class TestNoiseLaw:
     def test_seeded_reproducibility(self):
         problem = make_problem("uf2", noise=NoiseLaw(kind="gaussian", sigma=0.5))
         x = manifold_point("uf2", 0.5)
-        a = evaluate_noisy(problem, x, np.random.default_rng(123))
-        b = evaluate_noisy(problem, x, np.random.default_rng(123))
+        a = evaluate_noisy(problem, true_mean(problem, x), np.random.default_rng(123))
+        b = evaluate_noisy(problem, true_mean(problem, x), np.random.default_rng(123))
         assert np.array_equal(a, b)
 
     def test_out_of_bounds_rejected(self):
+        # The bounds check lives in true_mean, which Evaluator.spawn calls;
+        # tests/test_optimizers.py checks that a refused spawn charges nothing.
         problem = make_problem("uf1")
         x = np.full(10, 2.0)
         with pytest.raises(EvaluationError):
-            evaluate_noisy(problem, x, np.random.default_rng(0))
+            true_mean(problem, x)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(EvaluationError):
             NoiseLaw(kind="cauchy", sigma=1.0)
+
+
+class TestCachedMean:
+    """A point's true mean is computed once and reused for every sample."""
+
+    @pytest.mark.parametrize("name", sorted(MEAN_FNS))
+    @pytest.mark.parametrize("law", [NoiseLaw(kind="none"),
+                                     NoiseLaw(kind="gaussian", sigma=0.5),
+                                     NoiseLaw(kind="chisq", sigma=1.0, df=1)])
+    def test_sample_is_mean_plus_scaled_draw(self, name, law):
+        # Same bits as mean_fn(x) + sigma * standardized(...), and the same
+        # generator state afterwards, sample after sample.
+        problem = make_problem(name, noise=law)
+        rng = np.random.default_rng(5)
+        twin = np.random.default_rng(5)
+        for _ in range(20):
+            x = problem.random_decision(rng)
+            problem.random_decision(twin)
+            mean = true_mean(problem, x)
+            assert np.array_equal(mean, problem.mean_fn(x))
+            for _ in range(3):
+                got = evaluate_noisy(problem, mean, rng)
+                want = problem.mean_fn(x) + law.sigma * law.standardized(twin, 2)
+                assert np.array_equal(got, want)
+                assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_true_mean_is_read_only_and_leaves_decision_writable(self):
+        problem = make_problem("uf1")
+        x = problem.random_decision(np.random.default_rng(0))
+        mean = true_mean(problem, x)
+        with pytest.raises(ValueError):
+            mean[0] = 0.0
+        x[0] = 0.5  # the decision itself is not frozen
+
+    @pytest.mark.parametrize("dim", [3, 10, 30])
+    def test_index_sets_cached_and_read_only(self, dim):
+        j, j_phase, i_odd, i_even = _index_sets(dim)
+        assert _index_sets(dim)[0] is j
+        assert np.array_equal(j, np.arange(2, dim + 1))
+        assert np.array_equal(j_phase, np.arange(2, dim + 1) * np.pi / dim)
+        assert np.array_equal(i_odd + 2, j[j % 2 == 1])
+        assert np.array_equal(i_even + 2, j[j % 2 == 0])
+        for a in (j, j_phase, i_odd, i_even):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestTruePfSample:

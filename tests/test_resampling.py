@@ -134,6 +134,12 @@ class TestDecide:
         with pytest.raises(EvaluationError):
             strategy_from_dict({"kind": "oracle"})
 
+    @pytest.mark.parametrize("spec,name", [({"kind": "arb", "alpha": 0.2}, "alpha"),
+                                           ({"kind": "static", "n": 2, "n_max": 3}, "n_max")])
+    def test_unknown_parameter_rejected_by_name(self, spec, name):
+        with pytest.raises(EvaluationError, match=f"parameter.*{name}"):
+            strategy_from_dict(spec)
+
     def test_strategy_from_dict_round_trip(self):
         s = strategy_from_dict({"kind": "sederror", "threshold": 0.01, "aggregation": "mean"})
         assert isinstance(s, SeErrorStrategy)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Five-minute tour: one noisy problem, four resampling strategies,
-a little table of normalized hypervolumes.
+"""Five-minute tour: one noisy problem, five runs, a little table of
+normalized hypervolumes. The static strategies run NSGA-II one-shot, rank
+and arb run it sequentially, and Rolling Tide is an EA of its own.
 
 Usage: python scripts/quick_demo.py [--budget N] [--sigma S] [--seed K]
 """
@@ -32,17 +33,17 @@ def main() -> None:
 
     runs = {
         "static n=1 (plain NSGA-II)":
-            lambda rng: nsga2_run(problem, StaticStrategy(n=1), "one_shot",
-                                  40, args.budget, variation, rng),
+            lambda rng: nsga2_run(problem, StaticStrategy(n=1), 40, args.budget,
+                                  variation, rng),
         "static n=5":
-            lambda rng: nsga2_run(problem, StaticStrategy(n=5), "one_shot",
-                                  40, args.budget, variation, rng),
+            lambda rng: nsga2_run(problem, StaticStrategy(n=5), 40, args.budget,
+                                  variation, rng),
         "rank-based (sequential)":
-            lambda rng: nsga2_run(problem, RankStrategy(n_max=10), "sequential",
-                                  40, args.budget, variation, rng),
+            lambda rng: nsga2_run(problem, RankStrategy(n_max=10), 40, args.budget,
+                                  variation, rng),
         "adaptive bootstrap (arb)":
             lambda rng: nsga2_run(problem, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
-                                  "sequential", 40, args.budget, variation, rng),
+                                  40, args.budget, variation, rng),
         "rolling tide":
             lambda rng: rtea_run(problem, RteaConfig(m=args.budget), variation, rng),
     }

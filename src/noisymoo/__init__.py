@@ -8,8 +8,8 @@ Library layout:
   sample mean, dominance probability, the adaptive resampling decision.
 * ``resampling`` — static, time, rank, strength, and standard-error
   baseline decision functions behind one interface.
-* ``optimizers`` — NSGA-II (one-shot / sequential resampling) and the
-  Rolling Tide EA under a strict evaluation budget.
+* ``optimizers`` — NSGA-II (static resampling one-shot, every other kind
+  sequential) and the Rolling Tide EA under a strict evaluation budget.
 * ``metrics`` — true-mean filtering, 2-D hypervolume, IGD.
 * ``harness`` / ``cli`` — reproducible sweeps, comparison protocols,
   CSV reporting.

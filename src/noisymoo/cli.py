@@ -4,10 +4,11 @@ Subcommands: ``run`` one slice, ``sweep`` the whole grid, ``select`` one of
 the two unbiased comparison protocols, ``report`` the CSV outputs.
 ``select`` and ``report`` only read the records a sweep wrote; with any
 record missing they list it and exit 2 without running anything. A config
-that fails to load (an unknown key or strategy parameter, a value out of
-range) is one line on stderr and exit 2, before anything runs or is
-written. The output root defaults to --out, then $NOISYMOO_OUT, then the
-config's output_dir.
+that fails to load (an unknown key or parameter anywhere in it, a value out
+of range) is one line on stderr and exit 2, before anything runs or is
+written; so is any other :class:`EvaluationError` a command raises. The
+output root defaults to --out, then $NOISYMOO_OUT, then the config's
+output_dir.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ def _out_dir(args, config: ExperimentConfig) -> Path:
 def _cmd_run(args, config: ExperimentConfig) -> int:
     slices = config.slices()
     if not 0 <= args.slice < len(slices):
-        print(f"slice index out of range (0..{len(slices) - 1})", file=sys.stderr)
-        return 2
+        raise EvaluationError(f"slice index out of range (0..{len(slices) - 1})")
     slice_ = slices[args.slice]
     base_seed = args.seed if args.seed is not None else config.base_seed
     seed = derive_seed(base_seed, slice_.fingerprint, args.rep)
@@ -54,7 +54,7 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
 
 def _cmd_sweep(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
-    budget = config.selection.get("prestudy_budget") if args.prestudy else None
+    budget = config.selection["prestudy_budget"] if args.prestudy else None
     started = sweep(config, out, jobs=args.jobs, budget=budget, base_seed=args.seed)
     total = len(config.slices(budget=budget)) * config.replications
     label = "prestudy" if args.prestudy else "full"
@@ -65,14 +65,10 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
 
 def _cmd_select(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
-    try:
-        full = load_records(config, out, include_log=False)
-        if args.protocol == "prestudy":
-            prestudy = load_records(config, out, include_log=False,
-                                    budget=config.selection["prestudy_budget"])
-    except EvaluationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    full = load_records(config, out, include_log=False)
+    if args.protocol == "prestudy":
+        prestudy = load_records(config, out, include_log=False,
+                                budget=config.selection["prestudy_budget"])
     if args.protocol == "split":
         sel = config.selection
         rng = np.random.default_rng(config.base_seed)
@@ -93,12 +89,7 @@ def _cmd_select(args, config: ExperimentConfig) -> int:
 
 def _cmd_report(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
-    try:
-        records = load_records(config, out, include_log=False)
-    except EvaluationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    paths = report(records, out, fmt=args.format)
+    paths = report(load_records(config, out, include_log=False), out)
     for p in paths:
         print(p)
     return 0
@@ -137,19 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="write CSV reports of swept records")
     common(p_report)
-    p_report.add_argument("--format", default="csv", choices=("csv",))
     p_report.set_defaults(fn=_cmd_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    prefix = f"noisymoo: bad config {args.config}: "
     try:
         config = ExperimentConfig.load(args.config)
+        prefix = "noisymoo: "
+        return args.fn(args, config)
     except EvaluationError as exc:
-        print(f"noisymoo: bad config {args.config}: {exc}", file=sys.stderr)
+        print(f"{prefix}{exc}", file=sys.stderr)
         return 2
-    return args.fn(args, config)
 
 
 if __name__ == "__main__":

@@ -21,14 +21,15 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .metrics import MetricParams, score_final_set
 from .optimizers import RteaConfig, RunResult, nsga2_run, rtea_run
-from .pareto import EvaluationError
+from .pareto import EvaluationError, from_mapping
 from .problems import NoiseLaw, make_problem
 from .resampling import ResamplingStrategy, strategy_from_dict
 from .variation import VariationConfig
@@ -37,22 +38,33 @@ SCHEMA_VERSION = 1
 FAMILIES = ("arb", "dynamic", "static", "rtea")
 NOISE_KIND_ORDER = ("chisq", "gaussian", "none")
 
-_FAMILY_BY_KIND = {
-    "static": "static",
-    "time": "dynamic",
-    "rank": "dynamic",
-    "strength": "dynamic",
-    "sederror": "dynamic",
-    "arb": "arb",
-    "rtea": "rtea",
+
+class _Kind(NamedTuple):  # what a strategy kind runs; its loop is a slice's mode
+    family: str
+    optimizer: str
+    loop: str
+
+
+_KINDS = {
+    "static": _Kind("static", "nsga2", "one_shot"),
+    "time": _Kind("dynamic", "nsga2", "sequential"),
+    "rank": _Kind("dynamic", "nsga2", "sequential"),
+    "strength": _Kind("dynamic", "nsga2", "sequential"),
+    "sederror": _Kind("dynamic", "nsga2", "sequential"),
+    "arb": _Kind("arb", "nsga2", "sequential"),
+    "rtea": _Kind("rtea", "rtea", "rtea"),
 }
 
 
-def family_of(kind: str) -> str:
+def _kind(kind: str) -> _Kind:
     try:
-        return _FAMILY_BY_KIND[kind]
+        return _KINDS[kind]
     except KeyError:
         raise EvaluationError(f"unknown strategy kind {kind!r}") from None
+
+
+def family_of(kind: str) -> str:
+    return _kind(kind).family
 
 
 def _canonical(obj) -> str:
@@ -67,7 +79,7 @@ class RunSlice:
     dim: int
     noise: dict
     strategy: dict  # includes "kind"; rtea configs carry k, p, z
-    mode: str       # "sequential" | "one_shot" | "rtea"
+    mode: str       # the kind's loop: "one_shot" | "sequential" | "rtea"
     popsize: int
     budget: int
 
@@ -102,7 +114,7 @@ class RunSlice:
         """The strategy object a run uses; rtea gets its budget as ``m``."""
         if self.strategy["kind"] == "rtea":
             params = {k: v for k, v in self.strategy.items() if k != "kind"}
-            return RteaConfig(m=self.budget, **params)
+            return from_mapping(RteaConfig, params, "rtea parameter", m=self.budget)
         return strategy_from_dict(self.strategy)
 
     @property
@@ -118,6 +130,20 @@ def derive_seed(base_seed: int, fingerprint: str, replication: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@dataclass(frozen=True)
+class SelectionParams:  # the ``selection`` config mapping, with its defaults
+    n_select: int = 6
+    n_compare: int = 4
+    n_repeats: int = 100
+    prestudy_budget: int = 2000
+
+
+@dataclass(frozen=True)
+class StrategyEntry:  # one item of the ``strategies`` config list
+    kind: str
+    grid: dict = field(default_factory=dict)
+
+
 @dataclass
 class ExperimentConfig:
     problems: list[str]
@@ -128,8 +154,7 @@ class ExperimentConfig:
     replications: int = 10
     base_seed: int = 2024
     dim: int = 10
-    selection: dict = field(default_factory=lambda: {
-        "n_select": 6, "n_compare": 4, "n_repeats": 100, "prestudy_budget": 2000})
+    selection: dict = field(default_factory=dict)  # keys and defaults: SelectionParams
     metrics: dict = field(default_factory=dict)
     variation: dict = field(default_factory=dict)
     output_dir: str = "results"
@@ -139,7 +164,11 @@ class ExperimentConfig:
             raise EvaluationError("replications must be at least 1")
         if not self.problems or not self.noise or not self.strategies:
             raise EvaluationError("problems, noise, and strategies must be nonempty")
-        prestudy_budget = self.selection.get("prestudy_budget", self.budget)
+        self.selection = asdict(from_mapping(SelectionParams, self.selection,
+                                             "selection key"))
+        self._metric_params = from_mapping(MetricParams, self.metrics, "metrics key")
+        self._variation = from_mapping(VariationConfig, self.variation, "variation key")
+        prestudy_budget = self.selection["prestudy_budget"]
         if self.budget < prestudy_budget:
             raise EvaluationError("budget must not be smaller than the prestudy budget")
         # Build every slice's strategy now, so a bad grid value fails at load.
@@ -153,11 +182,7 @@ class ExperimentConfig:
         version = raw.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise EvaluationError(f"unsupported config schema version {version}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise EvaluationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return from_mapping(cls, raw, "config key")
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
@@ -165,10 +190,10 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def metric_params(self) -> MetricParams:
-        return MetricParams(**self.metrics)
+        return self._metric_params
 
     def variation_config(self) -> VariationConfig:
-        return VariationConfig(**self.variation)
+        return self._variation
 
     def slices(self, budget: int | None = None) -> list[RunSlice]:
         """Expand the grids into the full deterministic slice list."""
@@ -176,24 +201,17 @@ class ExperimentConfig:
         out: list[RunSlice] = []
         for problem in self.problems:
             for noise in self.noise:
-                for entry in self.strategies:
-                    kind = entry["kind"]
-                    grid = entry.get("grid", {})
-                    mode = entry.get("mode", _default_mode(kind))
-                    keys = sorted(grid)
-                    for combo in itertools.product(*(grid[k] for k in keys)):
-                        strategy = {"kind": kind, **dict(zip(keys, combo))}
+                for raw_entry in self.strategies:
+                    entry = from_mapping(StrategyEntry, raw_entry, "strategy entry key")
+                    mode = _kind(entry.kind).loop
+                    keys = sorted(entry.grid)
+                    for combo in itertools.product(*(entry.grid[k] for k in keys)):
+                        strategy = {"kind": entry.kind, **dict(zip(keys, combo))}
                         out.append(RunSlice(problem=problem, dim=self.dim,
                                             noise=_normalize_noise(noise),
                                             strategy=strategy, mode=mode,
                                             popsize=self.popsize, budget=budget))
         return out
-
-
-def _default_mode(kind: str) -> str:
-    if kind == "rtea":
-        return "rtea"
-    return "one_shot" if kind == "static" else "sequential"
 
 
 def _normalize_noise(noise: dict) -> dict:
@@ -250,7 +268,11 @@ def _point_payload(point) -> dict:
 def run_single(slice_: RunSlice, replication: int, seed: int,
                metric_params: MetricParams = MetricParams(),
                variation: VariationConfig = VariationConfig()) -> RunRecord:
-    """Execute one slice deterministically and score its returned set."""
+    """Execute one slice deterministically and score its returned set; refuse
+    a slice whose ``mode`` is not its kind's loop."""
+    kind, loop = slice_.strategy["kind"], _kind(slice_.strategy["kind"]).loop
+    if slice_.mode != loop:
+        raise EvaluationError(f"{kind} runs the {loop} loop, not mode {slice_.mode!r}")
     rng = np.random.default_rng(seed)
     problem = make_problem(slice_.problem, dim=slice_.dim,
                            noise=_noise_law(slice_.noise))
@@ -258,8 +280,8 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
     if isinstance(strategy, RteaConfig):
         result: RunResult = rtea_run(problem, strategy, variation, rng)
     else:
-        result = nsga2_run(problem, strategy, slice_.mode, slice_.popsize,
-                           slice_.budget, variation, rng)
+        result = nsga2_run(problem, strategy, slice_.popsize, slice_.budget,
+                           variation, rng)
     report = score_final_set(result.front, problem, metric_params)
     log = [[entry.uid, entry.generation, [float(v) for v in entry.sample]]
            for entry in result.log]
@@ -491,11 +513,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def report(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv") -> list[Path]:
+def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
     """Emit the per-run table, the per-setting aggregates, and HV-vs-sigma
-    plot data. Deterministic: same records, byte-identical files."""
-    if fmt != "csv":
-        raise EvaluationError(f"unsupported report format {fmt!r}")
+    plot data as CSV. Deterministic: same records, byte-identical files."""
     if not records:
         raise EvaluationError("nothing to report")
     out = Path(out_dir) / "report"
@@ -506,10 +526,10 @@ def report(records: list[RunRecord], out_dir: str | Path, fmt: str = "csv") -> l
                                          pair[0].strategy_label, pair[1].replication))
     per_run_rows = []
     for s, r in decorated:
-        optimizer = "rtea" if s.strategy["kind"] == "rtea" else "nsga2"
         per_run_rows.append([
             r.fingerprint, s.problem, s.noise["kind"], s.noise.get("df", 0),
-            float(s.noise.get("sigma", 0.0)), optimizer, s.mode, s.family,
+            float(s.noise.get("sigma", 0.0)), _kind(s.strategy["kind"]).optimizer,
+            s.mode, s.family,
             s.strategy_label, r.replication, r.seed, s.budget, s.popsize, r.spent,
             r.metrics["n_returned"], r.metrics["n_filtered"],
             float(r.metrics["hv_raw"]), float(r.metrics["hv_normalized"]),

@@ -52,11 +52,17 @@ class MetricReport:
 def true_nondominated_filter(returned: list[EvaluatedPoint],
                              problem: NoisyProblem) -> list[EvaluatedPoint]:
     """Keep the points whose true means are not strictly dominated within the set."""
+    return _true_nondominated(returned, problem)[0]
+
+
+def _true_nondominated(returned: list[EvaluatedPoint], problem: NoisyProblem
+                       ) -> tuple[list[EvaluatedPoint], np.ndarray]:
+    # The filter's survivors and their true means, each mean computed once.
     if not returned:
-        return []
+        return [], np.empty((0, 0))
     mus = np.array([problem.mean_fn(p.decision) for p in returned])
-    dominated = dominance_matrix(mus).any(axis=0)
-    return [p for p, d in zip(returned, dominated) if not d]
+    kept = ~dominance_matrix(mus).any(axis=0)
+    return [p for p, k in zip(returned, kept) if k], mus[kept]
 
 
 def hypervolume(points: np.ndarray, nadir: np.ndarray) -> float:
@@ -90,7 +96,10 @@ def hypervolume(points: np.ndarray, nadir: np.ndarray) -> float:
 
 def nadir_for(problem: NoisyProblem, params: MetricParams = MetricParams()) -> np.ndarray:
     """Per-problem nadir: (1 + delta) times the objective maxima over the true front."""
-    pf = sample_true_pf(problem, params.n_pf)
+    return _nadir(sample_true_pf(problem, params.n_pf), params)
+
+
+def _nadir(pf: np.ndarray, params: MetricParams) -> np.ndarray:
     return (1.0 + params.nadir_delta) * pf.max(axis=0)
 
 
@@ -127,12 +136,11 @@ def igd_p(points: np.ndarray, pf: np.ndarray, power: float = 2.0) -> float:
 def score_final_set(returned: list[EvaluatedPoint], problem: NoisyProblem,
                     params: MetricParams = MetricParams()) -> MetricReport:
     """Apply the true-mean filter and compute the full metric report."""
-    filtered = true_nondominated_filter(returned, problem)
-    nadir = nadir_for(problem, params)
+    filtered, true_means = _true_nondominated(returned, problem)
     pf = sample_true_pf(problem, params.n_pf)
+    nadir = _nadir(pf, params)
     denom = _true_front_hypervolume(pf, nadir)
     if filtered:
-        true_means = np.array([problem.mean_fn(p.decision) for p in filtered])
         hv_raw = hypervolume(true_means, nadir)
         igd = igd_p(true_means, pf, params.igd_power)
     else:

@@ -1,5 +1,6 @@
-"""NSGA-II with pluggable resampling (one-shot or sequential) and the
-Rolling Tide baseline, all under a strict shared evaluation budget.
+"""NSGA-II with pluggable resampling (one-shot for a static strategy,
+sequential for every other kind) and the Rolling Tide baseline, all under a
+strict shared evaluation budget.
 
 Every objective-function call goes through one :class:`Evaluator`, which
 counts the evaluations spent against the budget and keeps the evaluation
@@ -22,8 +23,6 @@ from .problems import NoisyProblem, evaluate_noisy, true_mean
 from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy,
                          StaticStrategy, should_resample)
 from .variation import VariationConfig, make_children
-
-MODES = ("one_shot", "sequential")
 
 
 @dataclass
@@ -128,30 +127,6 @@ def environmental_select(points: list[EvaluatedPoint], popsize: int) -> list[Eva
     return [points[i] for i in survivors]
 
 
-def _resample_at_creation(point: EvaluatedPoint, parents: list[EvaluatedPoint],
-                          strategy: ResamplingStrategy, ev: Evaluator, gen: int,
-                          max_gen: int, dispersion: DispersionSet | None,
-                          rng: np.random.Generator) -> None:
-    # One-shot mode: keep asking the decision function about this fresh point,
-    # ranked against the current parents, until it says stop or the budget does.
-    if isinstance(strategy, StaticStrategy):
-        # Static ignores the population context; skip the ranking work.
-        while point.count < strategy.n and ev.reevaluate(point, gen):
-            pass
-        return
-    while ev.remaining > 0:
-        ranked = nondominated_sort(parents + [point])
-        ctx = DecisionContext(point_index=len(parents), population=ranked,
-                              n_gen=min(gen, max_gen), max_gen=max_gen,
-                              front=ranked.first_front(), dispersion=dispersion, rng=rng)
-        if not should_resample(strategy, ctx):
-            break
-        if not ev.reevaluate(point, gen):
-            break
-        if dispersion is not None:
-            push_newest_residual(dispersion, point)
-
-
 def _initialize_arb(ev: Evaluator, strategy: ArbStrategy, popsize: int,
                     rng: np.random.Generator) -> tuple[list[EvaluatedPoint], DispersionSet]:
     # Oversized first generation: everyone evaluated once, the best
@@ -173,23 +148,23 @@ def _initialize_arb(ev: Evaluator, strategy: ArbStrategy, popsize: int,
     return environmental_select(points, popsize), dispersion
 
 
-def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, mode: str,
-              popsize: int, budget: int, variation: VariationConfig,
+def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
+              budget: int, variation: VariationConfig,
               rng: np.random.Generator) -> RunResult:
     """NSGA-II under a resampling strategy, spending the budget exactly.
 
-    Sequential mode evaluates each offspring once and then sweeps the whole
-    combined population every generation, granting one extra evaluation per
-    point and sweep while the decision function approves. One-shot mode
-    instead settles each point's budget at creation time and never returns
-    to it. The planning horizon for time-based decisions is
-    budget // popsize generations.
+    A static strategy runs one-shot: each new point is topped up to ``n``
+    samples right after its spawn (the initial population once all its
+    members exist) and never returned to. Every other kind evaluates each
+    offspring once and then sweeps the whole combined population every
+    generation, granting one extra evaluation per point and sweep while
+    the decision function approves. The planning horizon for time-based
+    decisions is budget // popsize generations.
     """
-    if mode not in MODES:
-        raise EvaluationError(f"unknown mode {mode!r}")
     if popsize < 2 or popsize % 2:
         raise EvaluationError("popsize must be even and at least 2")
     arb = isinstance(strategy, ArbStrategy)
+    one_shot = isinstance(strategy, StaticStrategy)
     init_cost = strategy.init_popsize + strategy.seed_size if arb else popsize
     if budget < init_cost:
         raise EvaluationError(f"budget {budget} below initialization cost {init_cost}")
@@ -206,11 +181,10 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, mode: str,
             pt = ev.spawn(problem.random_decision(rng), 0)
             if pt is not None:
                 pop.append(pt)
-        if mode == "one_shot":
+        if one_shot:
             for pt in pop:
-                others = [p for p in pop if p is not pt]
-                _resample_at_creation(pt, others, strategy, ev, 0,
-                                      max(1, budget // popsize), dispersion, rng)
+                while pt.count < strategy.n and ev.reevaluate(pt, 0):
+                    pass
 
     max_gen = max(1, budget // popsize)
     gen = 0
@@ -228,11 +202,10 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, mode: str,
                 if child is None:
                     break
                 offspring.append(child)
-                if mode == "one_shot":
-                    _resample_at_creation(child, pop, strategy, ev, gen, max_gen,
-                                          dispersion, rng)
+                while one_shot and child.count < strategy.n and ev.reevaluate(child, gen):
+                    pass
         combined = pop + offspring
-        if mode == "sequential":
+        if not one_shot:
             ranked = nondominated_sort(combined)
             front = ranked.first_front()
             for i, point in enumerate(combined):

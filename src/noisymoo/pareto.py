@@ -8,13 +8,24 @@ pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 
 class EvaluationError(ValueError):
     """Raised when an operation is called on inconsistent or empty inputs."""
+
+
+def from_mapping(cls, raw: dict, what: str, **fixed):
+    """``cls(**raw, **fixed)`` for a dataclass ``cls``, naming every key of the
+    config mapping ``raw`` that is not another init field of ``cls`` in an
+    :class:`EvaluationError`."""
+    allowed = {f.name for f in fields(cls) if f.init} - set(fixed)
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise EvaluationError(f"unknown {what}(s): {', '.join(unknown)}")
+    return cls(**raw, **fixed)
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> None:

@@ -11,13 +11,14 @@ delegates to the bootstrap dominance-probability rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Union, get_args
 
 import numpy as np
 
 from . import bootstrap
-from .pareto import EvaluatedPoint, EvaluationError, RankedPopulation, weak_dominance_matrix
+from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation, from_mapping,
+                     weak_dominance_matrix)
 
 _STRENGTH_TOL = 1e-12
 
@@ -112,9 +113,9 @@ ResamplingStrategy = Union[StaticStrategy, TimeStrategy, RankStrategy,
 class DecisionContext:
     """Everything a decision function may read about the current state.
 
-    The population state each kind reads, in a sequential sweep over the
-    combined population (points re-evaluated earlier in the same sweep
-    already carry their new samples):
+    NSGA-II builds one only in its sequential sweep over the combined
+    population, where points re-evaluated earlier in the same sweep already
+    carry their new samples. The population state each kind reads there:
 
     * ``rank`` reads ``population.rank``, the ranks from the sort at the
       start of the sweep; they are not updated as means move.
@@ -126,9 +127,6 @@ class DecisionContext:
       the sweep.
     * ``static``, ``time`` and ``sederror`` read only the point itself
       (plus ``n_gen``/``max_gen`` for ``time``).
-
-    In one-shot mode every decision sorts the parents plus the new point
-    afresh, so ranks and front are current there.
     """
 
     point_index: int
@@ -249,7 +247,4 @@ def strategy_from_dict(spec: dict) -> ResamplingStrategy:
     makers = {cls.kind: cls for cls in get_args(ResamplingStrategy)}
     if kind not in makers:
         raise EvaluationError(f"unknown resampling kind {kind!r}")
-    unknown = sorted(set(spec) - {f.name for f in fields(makers[kind]) if f.init})
-    if unknown:
-        raise EvaluationError(f"unknown {kind} parameter(s): {', '.join(unknown)}")
-    return makers[kind](**spec)
+    return from_mapping(makers[kind], spec, f"{kind} parameter")

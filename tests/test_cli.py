@@ -68,8 +68,7 @@ def test_sweep_select_report_pipeline(config_path, tmp_path):
     assert table["families"] == ["arb", "dynamic", "static", "rtea"]
     assert table["noise_kinds"] == ["chisq", "gaussian", "none"]
 
-    assert main(["report", "--config", str(config_path), "--out", str(out),
-                 "--format", "csv"]) == 0
+    assert main(["report", "--config", str(config_path), "--out", str(out)]) == 0
     per_run = (out / "report" / "per_run.csv").read_text().splitlines()
     assert len(per_run) == 1 + n_slices * 2
 
@@ -98,20 +97,46 @@ def test_output_dir_from_environment(config_path, tmp_path, monkeypatch):
     assert (env_out / "records").exists()
 
 
-BAD_ARB_GRIDS = {"alpha": {"alpha": [0.2]}, "alpha_l": {"alpha_l": [0.6]}}
+# id -> (config edit, the key the error line must name)
+BAD_CONFIGS = {
+    "alpha": ({"strategies": [{"kind": "arb", "grid": {"alpha": [0.2]}}]}, "alpha"),
+    "alpha_l": ({"strategies": [{"kind": "arb", "grid": {"alpha_l": [0.6]}}]}, "alpha_l"),
+    "rtea_alpha": ({"strategies": [{"kind": "rtea", "grid": {"alpha": [0.2]}}]}, "alpha"),
+    "metrics_bogus": ({"metrics": {"bogus": 1}}, "bogus"),
+    "variation_bogus": ({"variation": {"bogus": 1}}, "bogus"),
+    "selection_typo": ({"selection": {"n_selct": 1}}, "n_selct"),
+    "entry_grdi": ({"strategies": [{"kind": "static", "grdi": {"n": [7]}}]}, "grdi"),
+    "entry_mode": ({"strategies": [{"kind": "static", "mode": "sequential"}]}, "mode"),
+}
 COMMANDS = {"run": ["--slice", "0"], "sweep": ["--jobs", "1"], "report": [],
             "select": ["--protocol", "split"]}
 
 
-@pytest.mark.parametrize("param", sorted(BAD_ARB_GRIDS))
+@pytest.mark.parametrize("param", sorted(BAD_CONFIGS))
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_bad_config_exits_2_with_one_line(command, param, config_path, tmp_path, capsys):
+    edit, key = BAD_CONFIGS[param]
     config = json.loads(config_path.read_text())
-    config["strategies"] = [{"kind": "arb", "grid": BAD_ARB_GRIDS[param]}]
+    config.update(edit)
     config_path.write_text(json.dumps(config))
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
             *COMMANDS[command]]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and param in err[0]
+    assert len(err) == 1 and key in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_select_error_exits_2_with_one_line(config_path, tmp_path, capsys):
+    config = json.loads(config_path.read_text())
+    config.update(noise=[{"kind": "none"}], strategies=[{"kind": "static"}],
+                  selection={"n_select": 2, "n_compare": 1, "prestudy_budget": 250})
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["select", "--config", str(config_path), "--protocol", "split",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "split needs 3 replications, have 2" in err[0]
+    assert not list(out.glob("selection_*.json"))

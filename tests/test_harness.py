@@ -95,6 +95,11 @@ class TestConfigAndSlices:
             for slice_ in slices:
                 slice_.make_strategy()
 
+    def test_selection_keys_default_one_by_one(self):
+        config = tiny_config(budget=2400, selection={"n_select": 1})
+        assert config.selection == {"n_select": 1, "n_compare": 4, "n_repeats": 100,
+                                    "prestudy_budget": 2000}
+
     def test_family_grouping(self):
         assert family_of("static") == "static"
         assert family_of("rank") == family_of("sederror") == "dynamic"
@@ -110,6 +115,12 @@ class TestRunSingle:
         a = run_single(slice_, 0, 1234)
         b = run_single(slice_, 0, 1234)
         assert a.canonical_json() == b.canonical_json()
+
+    def test_slice_mode_must_be_its_kinds_loop(self):
+        slice_ = tiny_config().slices()[0]
+        wrong = RunSlice.from_dict({**slice_.as_dict(), "mode": "sequential"})
+        with pytest.raises(EvaluationError, match="one_shot"):
+            run_single(wrong, 0, 1)
 
     def test_log_length_equals_budget(self):
         slice_ = tiny_config().slices()[1]

@@ -126,7 +126,7 @@ class TestEnvironmentalSelect:
 class TestNsga2:
     def test_budget_spent_exactly_and_deterministic(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
-        runs = [nsga2_run(problem, StaticStrategy(n=5), "one_shot", 10, 300, VAR,
+        runs = [nsga2_run(problem, StaticStrategy(n=5), 10, 300, VAR,
                           np.random.default_rng(99)) for _ in range(2)]
         for res in runs:
             assert res.spent == 300
@@ -140,26 +140,17 @@ class TestNsga2:
 
     def test_means_equal_sample_averages_post_run(self):
         problem = make_problem("uf2", noise=NoiseLaw(kind="chisq", df=2, sigma=1.0))
-        res = nsga2_run(problem, SeErrorStrategy(threshold=0.5), "sequential",
-                        10, 400, VAR, np.random.default_rng(8))
+        res = nsga2_run(problem, SeErrorStrategy(threshold=0.5), 10, 400, VAR,
+                        np.random.default_rng(8))
         for p in res.population:
             assert np.allclose(p.mean, np.mean(p.samples, axis=0), atol=1e-12)
-
-    def test_one_shot_equals_sequential_for_static_one_zero_noise(self):
-        problem = make_problem("uf1")
-        a = nsga2_run(problem, StaticStrategy(n=1), "one_shot", 10, 400, VAR,
-                      np.random.default_rng(5))
-        b = nsga2_run(problem, StaticStrategy(n=1), "sequential", 10, 400, VAR,
-                      np.random.default_rng(5))
-        assert [e.uid for e in a.log] == [e.uid for e in b.log]
-        assert all(np.array_equal(x.sample, y.sample) for x, y in zip(a.log, b.log))
 
     def test_zero_noise_run_reaches_sane_hypervolume(self):
         # Loose sanity bound computed from reference runs of this module at
         # the same budget (a canonical NSGA-II plateaus near 0.8 on this
         # problem; anything below 0.65 means the optimizer is broken).
         problem = make_problem("uf1")
-        res = nsga2_run(problem, StaticStrategy(n=1), "one_shot", 40, 4000, VAR,
+        res = nsga2_run(problem, StaticStrategy(n=1), 40, 4000, VAR,
                         np.random.default_rng(11))
         assert res.spent == 4000
         report = score_final_set(res.front, problem)
@@ -167,7 +158,7 @@ class TestNsga2:
 
     def test_arb_run_spends_budget_exactly(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
-        res = nsga2_run(problem, ArbStrategy(), "sequential", 40, 1200, VAR,
+        res = nsga2_run(problem, ArbStrategy(), 40, 1200, VAR,
                         np.random.default_rng(13))
         assert res.spent == 1200
         assert len(res.log) == 1200
@@ -175,15 +166,15 @@ class TestNsga2:
     def test_budget_below_initialization_rejected(self):
         problem = make_problem("uf1")
         with pytest.raises(EvaluationError):
-            nsga2_run(problem, StaticStrategy(n=1), "one_shot", 40, 30, VAR,
+            nsga2_run(problem, StaticStrategy(n=1), 40, 30, VAR,
                       np.random.default_rng(0))
         with pytest.raises(EvaluationError):
-            nsga2_run(problem, ArbStrategy(), "sequential", 40, 200, VAR,
+            nsga2_run(problem, ArbStrategy(), 40, 200, VAR,
                       np.random.default_rng(0))
 
     def test_front_members_are_mutually_nondominated(self):
         problem = make_problem("uf3", noise=NoiseLaw(kind="gaussian", sigma=0.1))
-        res = nsga2_run(problem, StaticStrategy(n=1), "one_shot", 10, 300, VAR,
+        res = nsga2_run(problem, StaticStrategy(n=1), 10, 300, VAR,
                         np.random.default_rng(21))
         means = [p.mean for p in res.front]
         from noisymoo.pareto import dominates
@@ -273,7 +264,7 @@ class TestEvaluator:
         problem = dataclasses.replace(base, mean_fn=counting_mean_fn)
         rng = np.random.default_rng(2)
         if kind == "nsga2":
-            res = nsga2_run(problem, StaticStrategy(n=3), "one_shot", 10, 300, VAR, rng)
+            res = nsga2_run(problem, StaticStrategy(n=3), 10, 300, VAR, rng)
         else:
             res = rtea_run(problem, RteaConfig(m=300, p=10), VAR, rng)
         n_points = len({e.uid for e in res.log})
@@ -284,6 +275,6 @@ class TestEvaluator:
     def test_log_length_equals_spend(self, seed):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=1.0))
         budget = 120
-        res = nsga2_run(problem, StaticStrategy(n=2), "one_shot", 10, budget, VAR,
+        res = nsga2_run(problem, StaticStrategy(n=2), 10, budget, VAR,
                         np.random.default_rng(seed))
         assert res.spent == budget == len(res.log)

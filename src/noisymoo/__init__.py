@@ -12,13 +12,14 @@ Library layout:
   sequential) and the Rolling Tide EA under a strict evaluation budget.
 * ``metrics`` — true-mean filtering, 2-D hypervolume, IGD.
 * ``harness`` / ``cli`` — reproducible sweeps, comparison protocols,
-  CSV reporting.
+  CSV reporting. Every input that shapes a record comes from the config:
+  the grid, ``base_seed`` and ``metrics``; reading refuses a mismatch.
 """
 
 from .bootstrap import (DispersionSet, arb_decide, bootstrap_means, bootstrap_means_pooled,
-                        dominance_probability, push_residuals)
-from .metrics import (MetricParams, MetricReport, hypervolume, igd_p, nadir_for,
-                      normalized_hypervolume, score_final_set, true_nondominated_filter)
+                        dominance_probability)
+from .metrics import (MetricParams, MetricReport, hypervolume, igd_p, score_final_set,
+                      true_nondominated_filter)
 from .optimizers import (Evaluator, RteaConfig, RunResult, environmental_select,
                          nsga2_run, rtea_run, tournament_select)
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,

@@ -81,20 +81,6 @@ class DispersionSet:
             self._centered = raw - raw.mean(axis=0)
         return self._centered
 
-    def variance(self) -> np.ndarray:
-        """Per-objective population variance of the centered entries."""
-        view = self.centered()
-        return view.var(axis=0)
-
-
-def push_residuals(dispersion: DispersionSet, point: EvaluatedPoint) -> DispersionSet:
-    """Append all N scaled residuals of a multiply-evaluated point."""
-    if point.count < 2:
-        raise EvaluationError("residuals require at least two samples")
-    for row in point.scaled_residuals():
-        dispersion.push(row)
-    return dispersion
-
 
 def push_newest_residual(dispersion: DispersionSet, point: EvaluatedPoint) -> None:
     """Append only the latest sample's scaled residual.

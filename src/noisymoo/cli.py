@@ -6,16 +6,16 @@ the two unbiased comparison protocols, ``report`` the CSV outputs.
 record missing they list it and exit 2 without running anything. A config
 that fails to load (an unknown key or parameter anywhere in it, a value out
 of range) is one line on stderr and exit 2, before anything runs or is
-written; so is any other :class:`EvaluationError` a command raises. The
-output root defaults to --out, then $NOISYMOO_OUT, then the config's
-output_dir.
+written; so is any other :class:`EvaluationError` a command raises, among
+them a record made under another base seed or other metric parameters. The
+output root is --out, else the config's output_dir; every run's seed derives
+from the config's base_seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,12 +28,7 @@ from .pareto import EvaluationError
 
 
 def _out_dir(args, config: ExperimentConfig) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get("NOISYMOO_OUT")
-    if env:
-        return Path(env)
-    return Path(config.output_dir)
+    return Path(args.out or config.output_dir)
 
 
 def _cmd_run(args, config: ExperimentConfig) -> int:
@@ -41,10 +36,8 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
     if not 0 <= args.slice < len(slices):
         raise EvaluationError(f"slice index out of range (0..{len(slices) - 1})")
     slice_ = slices[args.slice]
-    base_seed = args.seed if args.seed is not None else config.base_seed
-    seed = derive_seed(base_seed, slice_.fingerprint, args.rep)
-    record = run_single(slice_, args.rep, seed, config.metric_params(),
-                        config.variation_config())
+    seed = derive_seed(config.base_seed, slice_.fingerprint, args.rep)
+    record = run_single(slice_, args.rep, seed, config.metric_params())
     path = record_path(_out_dir(args, config), slice_, args.rep)
     write_record(path, record)
     print(f"{slice_.strategy_label} on {slice_.problem} {slice_.noise}: "
@@ -55,7 +48,7 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
 def _cmd_sweep(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
     budget = config.selection["prestudy_budget"] if args.prestudy else None
-    started = sweep(config, out, jobs=args.jobs, budget=budget, base_seed=args.seed)
+    started = sweep(config, out, jobs=args.jobs, budget=budget)
     total = len(config.slices(budget=budget)) * config.replications
     label = "prestudy" if args.prestudy else "full"
     print(f"{label} sweep complete: {started} of {total} runs started, "
@@ -66,9 +59,6 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
 def _cmd_select(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
     full = load_records(config, out, include_log=False)
-    if args.protocol == "prestudy":
-        prestudy = load_records(config, out, include_log=False,
-                                budget=config.selection["prestudy_budget"])
     if args.protocol == "split":
         sel = config.selection
         rng = np.random.default_rng(config.base_seed)
@@ -77,6 +67,8 @@ def _cmd_select(args, config: ExperimentConfig) -> int:
         payload = {"protocol": "split",
                    "fractions": {str(k): v for k, v in fractions.items()}}
     else:
+        prestudy = load_records(config, out, include_log=False,
+                                budget=config.selection["prestudy_budget"])
         table = select_params_prestudy(prestudy, full)
         payload = {"protocol": "prestudy", **table}
     path = Path(out) / f"selection_{args.protocol}.json"
@@ -104,18 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output root directory")
 
-    def running(p: argparse.ArgumentParser) -> None:
-        common(p)
-        p.add_argument("--seed", type=int, default=None, help="override base seed")
-
     p_run = sub.add_parser("run", help="run one grid slice")
-    running(p_run)
+    common(p_run)
     p_run.add_argument("--slice", type=int, required=True, help="slice ordinal")
     p_run.add_argument("--rep", type=int, default=0, help="replication index")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the full grid x replications")
-    running(p_sweep)
+    common(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel runs")
     p_sweep.add_argument("--prestudy", action="store_true",
                          help="use the prestudy budget instead of the full one")

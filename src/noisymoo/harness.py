@@ -6,7 +6,9 @@ a seed derived stably from the base seed, the slice fingerprint, and the
 replication index, so adding grid values never reseeds existing runs and
 execution order has no effect on any record. Records are written one JSON
 file per run, keyed by fingerprint and replication, which also makes
-re-running a completed sweep a no-op.
+re-running a completed sweep a no-op. Reading them back checks each
+record's seed and metric parameters against the config, so a record made
+under another base seed or other metrics is refused, not reported.
 
 Determinism contract: a record holds only reproducible fields and its file
 is its canonical JSON, so identical seeds give byte-identical record files
@@ -27,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import MetricParams, score_final_set
+from .metrics import MetricParams, _nadir, score_final_set
 from .optimizers import RteaConfig, RunResult, nsga2_run, rtea_run
 from .pareto import EvaluationError, from_mapping
-from .problems import NoiseLaw, make_problem
+from .problems import NoiseLaw, make_problem, sample_true_pf
 from .resampling import ResamplingStrategy, strategy_from_dict
 from .variation import VariationConfig
 
@@ -61,10 +63,6 @@ def _kind(kind: str) -> _Kind:
         return _KINDS[kind]
     except KeyError:
         raise EvaluationError(f"unknown strategy kind {kind!r}") from None
-
-
-def family_of(kind: str) -> str:
-    return _kind(kind).family
 
 
 def _canonical(obj) -> str:
@@ -108,7 +106,7 @@ class RunSlice:
 
     @property
     def family(self) -> str:
-        return family_of(self.strategy["kind"])
+        return _kind(self.strategy["kind"]).family
 
     def make_strategy(self) -> ResamplingStrategy | RteaConfig:
         """The strategy object a run uses; rtea gets its budget as ``m``."""
@@ -156,7 +154,6 @@ class ExperimentConfig:
     dim: int = 10
     selection: dict = field(default_factory=dict)  # keys and defaults: SelectionParams
     metrics: dict = field(default_factory=dict)
-    variation: dict = field(default_factory=dict)
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
@@ -167,7 +164,6 @@ class ExperimentConfig:
         self.selection = asdict(from_mapping(SelectionParams, self.selection,
                                              "selection key"))
         self._metric_params = from_mapping(MetricParams, self.metrics, "metrics key")
-        self._variation = from_mapping(VariationConfig, self.variation, "variation key")
         prestudy_budget = self.selection["prestudy_budget"]
         if self.budget < prestudy_budget:
             raise EvaluationError("budget must not be smaller than the prestudy budget")
@@ -178,6 +174,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise EvaluationError(f"expected a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         version = raw.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
@@ -186,14 +184,19 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise EvaluationError(str(exc)) from None
+        return cls.from_dict(raw)
 
     def metric_params(self) -> MetricParams:
         return self._metric_params
 
     def variation_config(self) -> VariationConfig:
-        return self._variation
+        """The variation operators of every run: the defaults, not configurable."""
+        return VariationConfig()
 
     def slices(self, budget: int | None = None) -> list[RunSlice]:
         """Expand the grids into the full deterministic slice list."""
@@ -321,13 +324,13 @@ def write_record(path: str | Path, record: RunRecord) -> None:
 
 
 def _run_job(args) -> str:
-    slice_, rep, seed, metric_params, variation, path_str = args
-    write_record(path_str, run_single(slice_, rep, seed, metric_params, variation))
+    slice_, rep, seed, metric_params, path_str = args
+    write_record(path_str, run_single(slice_, rep, seed, metric_params))
     return path_str
 
 
 def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
-          budget: int | None = None, base_seed: int | None = None) -> int:
+          budget: int | None = None) -> int:
     """Run the full grid x replications, skipping runs whose record exists.
 
     Returns the number of runs started. Runs are independent and may
@@ -335,18 +338,16 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
     read back. :func:`load_records` reads them in grid order, so every
     downstream report is independent of execution order.
     """
-    base_seed = config.base_seed if base_seed is None else base_seed
     slices = config.slices(budget=budget)
     metric_params = config.metric_params()
-    variation = config.variation_config()
     jobs_args = []
     for slice_ in slices:
         for rep in range(config.replications):
             path = record_path(out_dir, slice_, rep)
             if path.exists():
                 continue
-            seed = derive_seed(base_seed, slice_.fingerprint, rep)
-            jobs_args.append((slice_, rep, seed, metric_params, variation, str(path)))
+            seed = derive_seed(config.base_seed, slice_.fingerprint, rep)
+            jobs_args.append((slice_, rep, seed, metric_params, str(path)))
     if jobs_args:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -362,8 +363,12 @@ def load_records(config: ExperimentConfig, out_dir: str | Path, budget: int | No
     """Read the grid x replications records in grid order; start no run.
 
     Raises :class:`EvaluationError` listing every missing (fingerprint,
-    replication) pair. ``include_log=False`` drops the (large) evaluation
-    logs from the returned records; the files on disk always keep them.
+    replication) pair, or naming the first record made under other inputs:
+    a ``seed`` not derived from the config's base seed, or a metric
+    parameter (``pf_sample_size``, ``igd_power``, ``nadir``) the config's
+    ``metrics`` would not give. ``include_log=False`` drops the (large)
+    evaluation logs from the returned records; the files on disk always
+    keep them.
     """
     runs = [(slice_, rep) for slice_ in config.slices(budget=budget)
             for rep in range(config.replications)]
@@ -373,8 +378,26 @@ def load_records(config: ExperimentConfig, out_dir: str | Path, budget: int | No
         listing = "\n".join(f"  ({fp}, {rep})" for fp, rep in missing)
         raise EvaluationError(f"{len(missing)} of {len(runs)} records missing in "
                               f"{Path(out_dir) / 'records'} (fingerprint, rep):\n{listing}")
-    return [load_record(record_path(out_dir, slice_, rep), include_log=include_log)
-            for slice_, rep in runs]
+    params = config.metric_params()
+    nadirs = {}  # per problem, the values score_final_set stores
+    for name in config.problems:
+        pf = sample_true_pf(make_problem(name, dim=config.dim), params.n_pf)
+        nadirs[name] = [float(v) for v in _nadir(pf, params)]
+    records = []
+    for slice_, rep in runs:
+        path = record_path(out_dir, slice_, rep)
+        record = load_record(path, include_log=include_log)
+        expected = {"seed": derive_seed(config.base_seed, slice_.fingerprint, rep),
+                    "pf_sample_size": params.n_pf, "igd_power": params.igd_power,
+                    "nadir": nadirs[slice_.problem]}
+        found = {"seed": record.seed, **record.metrics}
+        for key, value in expected.items():
+            if found[key] != value:
+                raise EvaluationError(
+                    f"record {path} was made under other inputs: {key} is {found[key]}, "
+                    f"this config gives {value}")
+        records.append(record)
+    return records
 
 
 def load_record(path: str | Path, include_log: bool = True) -> RunRecord:

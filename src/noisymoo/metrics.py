@@ -24,6 +24,13 @@ class MetricParams:
     n_pf: int = 1000
     igd_power: float = 2.0
 
+    def __post_init__(self) -> None:
+        # The bounds sample_true_pf and igd_p enforce, checked before any run.
+        if self.n_pf < 2:
+            raise EvaluationError("metrics n_pf must be at least 2")
+        if self.igd_power < 1:
+            raise EvaluationError("metrics igd_power must be at least 1")
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -94,27 +101,13 @@ def hypervolume(points: np.ndarray, nadir: np.ndarray) -> float:
     return float(hv)
 
 
-def nadir_for(problem: NoisyProblem, params: MetricParams = MetricParams()) -> np.ndarray:
-    """Per-problem nadir: (1 + delta) times the objective maxima over the true front."""
-    return _nadir(sample_true_pf(problem, params.n_pf), params)
-
-
 def _nadir(pf: np.ndarray, params: MetricParams) -> np.ndarray:
+    """Per-problem nadir: (1 + delta) times the objective maxima over the true front."""
     return (1.0 + params.nadir_delta) * pf.max(axis=0)
 
 
-def normalized_hypervolume(points: np.ndarray, problem: NoisyProblem,
-                           nadir: np.ndarray, n_pf: int = 1000) -> float:
-    """Hypervolume scaled by the true front sample's hypervolume.
-
-    Values above 1 can only arise from the discretization of the front
-    sample; the denominator being zero means the nadir is degenerate.
-    """
-    return hypervolume(points, nadir) / _true_front_hypervolume(
-        sample_true_pf(problem, n_pf), nadir)
-
-
 def _true_front_hypervolume(pf: np.ndarray, nadir: np.ndarray) -> float:
+    """Hypervolume of the true front sample; zero means the nadir is degenerate."""
     denom = hypervolume(pf, nadir)
     if denom <= 0.0:
         raise EvaluationError("true-front hypervolume is zero; nadir is degenerate")

@@ -8,7 +8,7 @@ pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -18,13 +18,20 @@ class EvaluationError(ValueError):
 
 
 def from_mapping(cls, raw: dict, what: str, **fixed):
-    """``cls(**raw, **fixed)`` for a dataclass ``cls``, naming every key of the
-    config mapping ``raw`` that is not another init field of ``cls`` in an
-    :class:`EvaluationError`."""
-    allowed = {f.name for f in fields(cls) if f.init} - set(fixed)
-    unknown = sorted(set(raw) - allowed)
+    """``cls(**raw, **fixed)`` for a dataclass ``cls``. Raises
+    :class:`EvaluationError` if the config mapping ``raw`` is not a mapping,
+    naming every key that is not another init field of ``cls`` and every
+    required field it lacks."""
+    if not isinstance(raw, dict):
+        raise EvaluationError(f"expected a mapping of {what}s, got {type(raw).__name__}")
+    init = [f for f in fields(cls) if f.init and f.name not in fixed]
+    unknown = sorted(set(raw) - {f.name for f in init})
     if unknown:
         raise EvaluationError(f"unknown {what}(s): {', '.join(unknown)}")
+    missing = [f.name for f in init if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise EvaluationError(f"missing {what}(s): {', '.join(missing)}")
     return cls(**raw, **fixed)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from noisymoo import bootstrap
 from noisymoo.bootstrap import (DispersionSet, arb_decide, bootstrap_means,
                                 bootstrap_means_pooled, dominance_probability,
-                                push_newest_residual, push_residuals)
+                                push_newest_residual)
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
 from noisymoo.resampling import ArbStrategy
 
@@ -25,7 +25,8 @@ def point(*samples):
 class TestDispersionSet:
     def test_push_residuals_scales_by_count_factor(self):
         ds = DispersionSet()
-        push_residuals(ds, point((0, 0), (2, 2)))
+        push_newest_residual(ds, point((0, 0), (2, 2)))
+        push_newest_residual(ds, point((2, 2), (0, 0)))
         raw = sorted(tuple(e) for e in np.asarray(ds._entries))
         r2 = np.sqrt(2)
         assert raw == [(-r2, -r2), (r2, r2)]
@@ -47,7 +48,7 @@ class TestDispersionSet:
 
     def test_single_observation_rejected(self):
         with pytest.raises(EvaluationError):
-            push_residuals(DispersionSet(), point((1, 1)))
+            push_newest_residual(DispersionSet(), point((1, 1)))
 
     def test_newest_residual_is_latest_sample(self):
         ds = DispersionSet()
@@ -132,7 +133,7 @@ class TestPooledBootstrap:
         pt = point(*[tuple(rng.normal(size=2)) for _ in range(n)])
         draws = bootstrap_means_pooled(pt, ds, 100_000, rng)
         s2 = np.var(np.asarray(pt.samples), axis=0, ddof=1)
-        expected = (s2 * (n - 1) / n + ds.variance() / n) / n
+        expected = (s2 * (n - 1) / n + ds.centered().var(axis=0) / n) / n
         assert np.all(np.abs(draws.var(axis=0) / expected - 1) < 0.10)
 
     def test_empty_pool_rejected(self):

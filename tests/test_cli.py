@@ -90,12 +90,17 @@ def test_read_only_commands_refuse_incomplete_records(config_path, tmp_path, cap
     assert not list(out.glob("selection_*.json"))
 
 
-def test_output_dir_from_environment(config_path, tmp_path, monkeypatch):
-    env_out = tmp_path / "env_out"
-    monkeypatch.setenv("NOISYMOO_OUT", str(env_out))
-    assert main(["run", "--config", str(config_path), "--slice", "0"]) == 0
-    assert (env_out / "records").exists()
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_flag_is_gone(command, config_path, tmp_path):
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            "--seed", "5", *COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+
+DROP = object()  # a config edit value that deletes the key
 
 # id -> (config edit, the key the error line must name)
 BAD_CONFIGS = {
@@ -103,7 +108,14 @@ BAD_CONFIGS = {
     "alpha_l": ({"strategies": [{"kind": "arb", "grid": {"alpha_l": [0.6]}}]}, "alpha_l"),
     "rtea_alpha": ({"strategies": [{"kind": "rtea", "grid": {"alpha": [0.2]}}]}, "alpha"),
     "metrics_bogus": ({"metrics": {"bogus": 1}}, "bogus"),
-    "variation_bogus": ({"variation": {"bogus": 1}}, "bogus"),
+    "variation_bogus": ({"variation": {"sbx_eta": 5.0, "sbx_prob": 0.9,
+                                       "mutation_eta": 20.0, "mutation_prob": 0.1}},
+                        "variation"),
+    "no_problems": ({"problems": DROP}, "problems"),
+    "entry_no_kind": ({"strategies": [{"grid": {"n": [1]}}]}, "kind"),
+    "metrics_list": ({"metrics": [1]}, "metrics"),
+    "metrics_n_pf": ({"metrics": {"n_pf": 1}}, "n_pf"),
+    "metrics_igd_power": ({"metrics": {"igd_power": 0.5}}, "igd_power"),
     "selection_typo": ({"selection": {"n_selct": 1}}, "n_selct"),
     "entry_grdi": ({"strategies": [{"kind": "static", "grdi": {"n": [7]}}]}, "grdi"),
     "entry_mode": ({"strategies": [{"kind": "static", "mode": "sequential"}]}, "mode"),
@@ -118,6 +130,7 @@ def test_bad_config_exits_2_with_one_line(command, param, config_path, tmp_path,
     edit, key = BAD_CONFIGS[param]
     config = json.loads(config_path.read_text())
     config.update(edit)
+    config = {k: v for k, v in config.items() if v is not DROP}
     config_path.write_text(json.dumps(config))
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
             *COMMANDS[command]]
@@ -125,6 +138,66 @@ def test_bad_config_exits_2_with_one_line(command, param, config_path, tmp_path,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and key in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# id -> (what replaces the config file, text the error line must hold)
+UNREADABLE_CONFIGS = {"missing_file": (None, "No such file"),
+                      "invalid_json": ('{"problems": ["uf1"],', "Expecting"),
+                      "not_an_object": ("[1]", "JSON object")}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIGS))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unreadable_config_exits_2_with_one_line(command, case, config_path, tmp_path,
+                                                 capsys):
+    text, needle = UNREADABLE_CONFIGS[case]
+    if text is None:
+        config_path.unlink()
+    else:
+        config_path.write_text(text)
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
+            *COMMANDS[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and needle in err[0] and str(config_path) in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+# id -> (config edit after the sweep, the record key the error line must name)
+OTHER_INPUTS = {
+    "base_seed": ({"base_seed": 12}, "seed"),
+    "nadir_delta": ({"metrics": {"nadir_delta": 0.5}}, "nadir"),
+    "n_pf": ({"metrics": {"n_pf": 500}}, "pf_sample_size"),
+    "igd_power": ({"metrics": {"igd_power": 1.0}}, "igd_power"),
+}
+READERS = {"report": [], "select": ["--protocol", "split"]}
+
+
+@pytest.mark.parametrize("change", sorted(OTHER_INPUTS))
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_records_made_under_other_inputs_are_refused(command, change, config_path,
+                                                     tmp_path, capsys):
+    config = json.loads(config_path.read_text())
+    config.update(noise=[{"kind": "gaussian", "sigma": 0.5}],
+                  strategies=[{"kind": "static", "grid": {"n": [1, 2]}}])
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
+
+    edit, key = OTHER_INPUTS[change]
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({**config, **edit}))
+    capsys.readouterr()
+    argv = [command, "--out", str(out), *READERS[command]]
+    assert main([*argv, "--config", str(changed)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert str(out / "records") in err[0] and f": {key} is " in err[0]
+    assert sorted(p.name for p in out.iterdir()) == ["records"]
+    assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
+
+    assert main([*argv, "--config", str(config_path)]) == 0
 
 
 def test_select_error_exits_2_with_one_line(config_path, tmp_path, capsys):

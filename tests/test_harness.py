@@ -7,7 +7,7 @@ import pytest
 from noisymoo import harness
 from noisymoo.harness import (AGGREGATE_HEADER, HV_VS_SIGMA_HEADER, PER_RUN_HEADER,
                               ExperimentConfig, RunRecord, RunSlice, derive_seed,
-                              family_of, load_record, load_records, record_path, report,
+                              load_record, load_records, record_path, report,
                               run_single, select_params_prestudy, select_params_split,
                               sweep, write_record)
 from noisymoo.pareto import EvaluationError
@@ -101,6 +101,10 @@ class TestConfigAndSlices:
                                     "prestudy_budget": 2000}
 
     def test_family_grouping(self):
+        def family_of(kind):
+            return RunSlice.from_dict({**tiny_config().slices()[0].as_dict(),
+                                       "strategy": {"kind": kind}}).family
+
         assert family_of("static") == "static"
         assert family_of("rank") == family_of("sederror") == "dynamic"
         assert family_of("arb") == "arb"

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisymoo.metrics import (MetricParams, hypervolume, igd_p, nadir_for,
-                              normalized_hypervolume, score_final_set,
-                              true_nondominated_filter)
+from noisymoo.metrics import (MetricParams, _nadir, _true_front_hypervolume, hypervolume,
+                              igd_p, score_final_set, true_nondominated_filter)
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
 from noisymoo.problems import make_problem, sample_true_pf
 
@@ -15,27 +14,28 @@ vec = lambda *v: np.array(v, dtype=float)
 NADIR = vec(1, 1)
 
 
-class TestTrueMeanFilter:
-    def _returned(self, problem, f1_values):
-        # Decision vectors on the optimal manifold have exact true means on
-        # the front; off-manifold ones are dominated.
-        pts = []
-        for f1 in f1_values:
-            x = np.zeros(problem.dim)
-            x[0] = f1
-            j = np.arange(2, problem.dim + 1)
-            x[1:] = np.sin(6 * np.pi * f1 + j * np.pi / problem.dim)
-            pts.append(EvaluatedPoint(decision=x, samples=[vec(99, 99)]))
-        return pts
+def on_front(problem, f1_values):
+    # Decision vectors on UF1's optimal manifold have exact true means on
+    # the front; off-manifold ones are dominated.
+    pts = []
+    for f1 in f1_values:
+        x = np.zeros(problem.dim)
+        x[0] = f1
+        j = np.arange(2, problem.dim + 1)
+        x[1:] = np.sin(6 * np.pi * f1 + j * np.pi / problem.dim)
+        pts.append(EvaluatedPoint(decision=x, samples=[vec(99, 99)]))
+    return pts
 
+
+class TestTrueMeanFilter:
     def test_front_points_all_kept(self):
         problem = make_problem("uf1")
-        returned = self._returned(problem, [0.0, 0.25, 1.0])
+        returned = on_front(problem, [0.0, 0.25, 1.0])
         assert true_nondominated_filter(returned, problem) == returned
 
     def test_dominated_point_removed(self):
         problem = make_problem("uf1")
-        good = self._returned(problem, [0.25])[0]
+        good = on_front(problem, [0.25])[0]
         bad_x = good.decision.copy()
         bad_x[1] = min(bad_x[1] + 0.5, 1.0)  # off the manifold: dominated
         bad = EvaluatedPoint(decision=bad_x, samples=[vec(0, 0)])
@@ -102,23 +102,28 @@ class TestHypervolume:
 class TestNormalizedHypervolume:
     def test_pf_sample_scores_one(self):
         problem = make_problem("uf1")
-        nadir = nadir_for(problem)
-        pf = sample_true_pf(problem, 1000)
-        assert normalized_hypervolume(pf, problem, nadir) == pytest.approx(1.0)
+        pf_points = on_front(problem, np.linspace(0.0, 1.0, 1000))
+        report = score_final_set(pf_points, problem)
+        assert report.n_filtered == 1000
+        assert report.hv_normalized == pytest.approx(1.0)
 
     def test_empty_set_scores_zero(self):
-        problem = make_problem("uf1")
-        assert normalized_hypervolume(np.empty((0, 2)), problem,
-                                      nadir_for(problem)) == 0.0
+        report = score_final_set([], make_problem("uf1"))
+        assert report.hv_raw == report.hv_normalized == 0.0
 
     def test_degenerate_nadir_rejected(self):
         problem = make_problem("uf1")
         with pytest.raises(EvaluationError):
-            normalized_hypervolume(np.array([[0.5, 0.5]]), problem, vec(0, 0))
+            _true_front_hypervolume(sample_true_pf(problem, 1000), vec(0, 0))
+        with pytest.raises(EvaluationError):  # nadir_delta -1 puts the nadir at 0
+            score_final_set(on_front(problem, [0.25]), problem,
+                            MetricParams(nadir_delta=-1.0))
 
     def test_nadir_construction(self):
         problem = make_problem("uf1")
-        assert nadir_for(problem) == pytest.approx([1.1, 1.1])
+        assert _nadir(sample_true_pf(problem, 1000), MetricParams()) == \
+               pytest.approx([1.1, 1.1])
+        assert score_final_set([], problem).nadir == pytest.approx((1.1, 1.1))
 
 
 class TestIgd:
@@ -159,5 +164,6 @@ class TestScoreFinalSet:
         assert 1 <= report.n_filtered <= 10
         assert report.hv_normalized == pytest.approx(
             report.hv_raw / hypervolume(sample_true_pf(problem, 1000),
-                                        nadir_for(problem)))
+                                        _nadir(sample_true_pf(problem, 1000),
+                                               MetricParams())))
         assert np.isfinite(report.igd)

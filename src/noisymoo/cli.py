@@ -4,12 +4,12 @@ Subcommands: ``run`` one slice, ``sweep`` the whole grid, ``select`` one of
 the two unbiased comparison protocols, ``report`` the CSV outputs.
 ``select`` and ``report`` only read the records a sweep wrote; with any
 record missing they list it and exit 2 without running anything. A config
-that fails to load (an unknown key or parameter anywhere in it, a value out
-of range) is one line on stderr and exit 2, before anything runs or is
-written; so is any other :class:`EvaluationError` a command raises, among
-them a record made under another base seed or other metric parameters. The
-output root is --out, else the config's output_dir; every run's seed derives
-from the config's base_seed.
+that fails to load (an unknown key, parameter, problem or noise kind, a
+value of the wrong type or out of range) is one line on stderr and exit 2,
+before anything runs or is written; so is any other :class:`EvaluationError`
+a command raises, among them a record made under another base seed or other
+metric parameters. The output root is --out, else the config's output_dir;
+every run's seed derives from the config's base_seed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
 
 def _cmd_sweep(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
-    budget = config.selection["prestudy_budget"] if args.prestudy else None
+    budget = config.selection.prestudy_budget if args.prestudy else None
     started = sweep(config, out, jobs=args.jobs, budget=budget)
     total = len(config.slices(budget=budget)) * config.replications
     label = "prestudy" if args.prestudy else "full"
@@ -61,14 +61,13 @@ def _cmd_select(args, config: ExperimentConfig) -> int:
     full = load_records(config, out, include_log=False)
     if args.protocol == "split":
         sel = config.selection
-        rng = np.random.default_rng(config.base_seed)
-        fractions = select_params_split(full, sel["n_select"], sel["n_compare"],
-                                        sel["n_repeats"], rng)
+        fractions = select_params_split(full, sel.n_select, sel.n_compare, sel.n_repeats,
+                                        np.random.default_rng(config.base_seed))
         payload = {"protocol": "split",
                    "fractions": {str(k): v for k, v in fractions.items()}}
     else:
         prestudy = load_records(config, out, include_log=False,
-                                budget=config.selection["prestudy_budget"])
+                                budget=config.selection.prestudy_budget)
         table = select_params_prestudy(prestudy, full)
         payload = {"protocol": "prestudy", **table}
     path = Path(out) / f"selection_{args.protocol}.json"

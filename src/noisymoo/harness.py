@@ -1,10 +1,12 @@
 """Reproducible experiment driver.
 
 A JSON config describes a grid of (problem x noise x strategy) settings.
-The grid expands to slices; each slice x replication becomes one run with
-a seed derived stably from the base seed, the slice fingerprint, and the
-replication index, so adding grid values never reseeds existing runs and
-execution order has no effect on any record. Records are written one JSON
+Loading it parses every section once, into the noise mappings, strategy
+entries and parameter objects the runs use, so a bad value fails before
+any run. The grid expands to slices; each slice x replication is one run
+with a seed derived stably from the base seed, the slice fingerprint and
+the replication index, so adding grid values never reseeds existing runs
+and execution order has no effect on any record. Records are written one JSON
 file per run, keyed by fingerprint and replication, which also makes
 re-running a completed sweep a no-op. Reading them back checks each
 record's seed and metric parameters against the config, so a record made
@@ -23,7 +25,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,7 +63,7 @@ _KINDS = {
 def _kind(kind: str) -> _Kind:
     try:
         return _KINDS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise EvaluationError(f"unknown strategy kind {kind!r}") from None
 
 
@@ -141,34 +143,65 @@ class StrategyEntry:  # one item of the ``strategies`` config list
     kind: str
     grid: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.grid, dict) or not all(
+                isinstance(values, list) for values in self.grid.values()):
+            raise EvaluationError(f"the {self.kind} grid must map each parameter "
+                                  "to a list of values")
+
+    def combinations(self) -> list[dict]:
+        """One strategy mapping, ``kind`` included, per grid combination."""
+        keys = sorted(self.grid)
+        return [{"kind": self.kind, **dict(zip(keys, combo))}
+                for combo in itertools.product(*(self.grid[k] for k in keys))]
+
+
+def _noise_slice(raw) -> dict:
+    """A ``noise`` config entry as a slice stores it: ``kind``, a float ``sigma``
+    unless the kind is none, an int ``df`` for chisq; no key the kind ignores."""
+    law = from_mapping(NoiseLaw, raw, "noise key")
+    out = {"kind": law.kind}
+    if law.kind != "none":
+        out["sigma"] = float(law.sigma)
+    if law.kind == "chisq":
+        out["df"] = law.df
+    ignored = sorted(set(raw) - set(out))
+    if ignored:
+        raise EvaluationError(f"noise kind {law.kind!r} takes no {', '.join(ignored)}")
+    return out
+
 
 @dataclass
 class ExperimentConfig:
     problems: list[str]
-    noise: list[dict]
-    strategies: list[dict]
+    noise: list[dict]                # slice-form noise mappings
+    strategies: list[StrategyEntry]
     budget: int = 10_000
     popsize: int = 40
     replications: int = 10
     base_seed: int = 2024
     dim: int = 10
-    selection: dict = field(default_factory=dict)  # keys and defaults: SelectionParams
-    metrics: dict = field(default_factory=dict)
+    selection: SelectionParams = field(default_factory=dict)  # parsed from its mapping
+    metrics: MetricParams = field(default_factory=dict)        # parsed from its mapping
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise EvaluationError("replications must be at least 1")
-        if not self.problems or not self.noise or not self.strategies:
-            raise EvaluationError("problems, noise, and strategies must be nonempty")
-        self.selection = asdict(from_mapping(SelectionParams, self.selection,
-                                             "selection key"))
-        self._metric_params = from_mapping(MetricParams, self.metrics, "metrics key")
-        prestudy_budget = self.selection["prestudy_budget"]
-        if self.budget < prestudy_budget:
+        for name in ("problems", "noise", "strategies"):
+            if not isinstance(getattr(self, name), list) or not getattr(self, name):
+                raise EvaluationError(f"{name} must be a nonempty list")
+        for name in self.problems:
+            make_problem(name, self.dim)
+        self.noise = [_noise_slice(raw) for raw in self.noise]
+        self.strategies = [from_mapping(StrategyEntry, raw, "strategy entry key")
+                           for raw in self.strategies]
+        self.selection = from_mapping(SelectionParams, self.selection, "selection key")
+        self.metrics = from_mapping(MetricParams, self.metrics, "metrics key")
+        if self.budget < self.selection.prestudy_budget:
             raise EvaluationError("budget must not be smaller than the prestudy budget")
         # Build every slice's strategy now, so a bad grid value fails at load.
-        for budget in {self.budget, prestudy_budget}:
+        for budget in {self.budget, self.selection.prestudy_budget}:
             for slice_ in self.slices(budget):
                 slice_.make_strategy()
 
@@ -192,7 +225,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def metric_params(self) -> MetricParams:
-        return self._metric_params
+        return self.metrics
 
     def variation_config(self) -> VariationConfig:
         """The variation operators of every run: the defaults, not configurable."""
@@ -201,35 +234,11 @@ class ExperimentConfig:
     def slices(self, budget: int | None = None) -> list[RunSlice]:
         """Expand the grids into the full deterministic slice list."""
         budget = self.budget if budget is None else budget
-        out: list[RunSlice] = []
-        for problem in self.problems:
-            for noise in self.noise:
-                for raw_entry in self.strategies:
-                    entry = from_mapping(StrategyEntry, raw_entry, "strategy entry key")
-                    mode = _kind(entry.kind).loop
-                    keys = sorted(entry.grid)
-                    for combo in itertools.product(*(entry.grid[k] for k in keys)):
-                        strategy = {"kind": entry.kind, **dict(zip(keys, combo))}
-                        out.append(RunSlice(problem=problem, dim=self.dim,
-                                            noise=_normalize_noise(noise),
-                                            strategy=strategy, mode=mode,
-                                            popsize=self.popsize, budget=budget))
-        return out
-
-
-def _normalize_noise(noise: dict) -> dict:
-    kind = noise.get("kind", "none")
-    out = {"kind": kind}
-    if kind != "none":
-        out["sigma"] = float(noise.get("sigma", 0.0))
-    if kind == "chisq":
-        out["df"] = int(noise.get("df", 1))
-    return out
-
-
-def _noise_law(noise: dict) -> NoiseLaw:
-    return NoiseLaw(kind=noise["kind"], sigma=noise.get("sigma", 0.0),
-                    df=noise.get("df", 1))
+        return [RunSlice(problem=problem, dim=self.dim, noise=noise, strategy=strategy,
+                         mode=_kind(entry.kind).loop, popsize=self.popsize, budget=budget)
+                for problem, noise, entry in itertools.product(self.problems, self.noise,
+                                                               self.strategies)
+                for strategy in entry.combinations()]
 
 
 @dataclass
@@ -277,8 +286,7 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
     if slice_.mode != loop:
         raise EvaluationError(f"{kind} runs the {loop} loop, not mode {slice_.mode!r}")
     rng = np.random.default_rng(seed)
-    problem = make_problem(slice_.problem, dim=slice_.dim,
-                           noise=_noise_law(slice_.noise))
+    problem = make_problem(slice_.problem, dim=slice_.dim, noise=NoiseLaw(**slice_.noise))
     strategy = slice_.make_strategy()
     if isinstance(strategy, RteaConfig):
         result: RunResult = rtea_run(problem, strategy, variation, rng)
@@ -522,8 +530,6 @@ PER_RUN_HEADER = ["fingerprint", "problem", "noise_kind", "df", "sigma", "optimi
 AGGREGATE_HEADER = ["problem", "noise_kind", "df", "sigma", "family", "strategy",
                     "n_reps", "hv_normalized_mean", "hv_normalized_sd", "igd_mean",
                     "igd_sd"]
-HV_VS_SIGMA_HEADER = ["problem", "noise_kind", "df", "sigma", "family", "strategy",
-                      "hv_normalized_mean"]
 
 
 def _fmt(value) -> str:
@@ -537,8 +543,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
-    """Emit the per-run table, the per-setting aggregates, and HV-vs-sigma
-    plot data as CSV. Deterministic: same records, byte-identical files."""
+    """Emit the per-run table and the per-setting aggregates as CSV.
+    Deterministic: same records, byte-identical files."""
     if not records:
         raise EvaluationError("nothing to report")
     out = Path(out_dir) / "report"
@@ -547,40 +553,25 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
     decorated = sorted(((RunSlice.from_dict(r.slice), r) for r in records),
                        key=lambda pair: (pair[0].setting_key(), pair[0].family,
                                          pair[0].strategy_label, pair[1].replication))
-    per_run_rows = []
-    for s, r in decorated:
-        per_run_rows.append([
-            r.fingerprint, s.problem, s.noise["kind"], s.noise.get("df", 0),
-            float(s.noise.get("sigma", 0.0)), _kind(s.strategy["kind"]).optimizer,
-            s.mode, s.family,
-            s.strategy_label, r.replication, r.seed, s.budget, s.popsize, r.spent,
-            r.metrics["n_returned"], r.metrics["n_filtered"],
-            float(r.metrics["hv_raw"]), float(r.metrics["hv_normalized"]),
-            float(r.metrics["igd"]),
-        ])
+    per_run_rows = [[r.fingerprint, *s.setting_key(), _kind(s.strategy["kind"]).optimizer,
+                     s.mode, s.family, s.strategy_label, r.replication, r.seed, s.budget,
+                     s.popsize, r.spent, r.metrics["n_returned"], r.metrics["n_filtered"],
+                     float(r.metrics["hv_raw"]), float(r.metrics["hv_normalized"]),
+                     float(r.metrics["igd"])] for s, r in decorated]
 
     groups: dict = {}
-    group_slice: dict = {}
     for s, r in decorated:
-        key = (s.setting_key(), s.family, s.strategy_label)
-        groups.setdefault(key, []).append(r)
-        group_slice[key] = s
+        groups.setdefault((s.setting_key(), s.family, s.strategy_label), []).append(r)
     agg_rows = []
-    sigma_rows = []
     for (setting, fam, label), recs in sorted(groups.items()):
-        s = group_slice[(setting, fam, label)]
         hvs = [rec.metrics["hv_normalized"] for rec in recs]
         igds = [rec.metrics["igd"] for rec in recs]
         sd = float(np.std(hvs, ddof=1)) if len(hvs) > 1 else 0.0
         igd_sd = float(np.std(igds, ddof=1)) if len(igds) > 1 else 0.0
-        base = [s.problem, s.noise["kind"], s.noise.get("df", 0),
-                float(s.noise.get("sigma", 0.0)), fam, label]
-        agg_rows.append(base + [len(recs), float(np.mean(hvs)), sd,
-                                float(np.mean(igds)), igd_sd])
-        sigma_rows.append(base + [float(np.mean(hvs))])
+        agg_rows.append([*setting, fam, label, len(recs), float(np.mean(hvs)), sd,
+                         float(np.mean(igds)), igd_sd])
 
-    paths = [out / "per_run.csv", out / "aggregate.csv", out / "hv_vs_sigma.csv"]
+    paths = [out / "per_run.csv", out / "aggregate.csv"]
     _write_csv(paths[0], PER_RUN_HEADER, per_run_rows)
     _write_csv(paths[1], AGGREGATE_HEADER, agg_rows)
-    _write_csv(paths[2], HV_VS_SIGMA_HEADER, sigma_rows)
     return paths

@@ -20,8 +20,10 @@ class EvaluationError(ValueError):
 def from_mapping(cls, raw: dict, what: str, **fixed):
     """``cls(**raw, **fixed)`` for a dataclass ``cls``. Raises
     :class:`EvaluationError` if the config mapping ``raw`` is not a mapping,
-    naming every key that is not another init field of ``cls`` and every
-    required field it lacks."""
+    naming every key that is not another init field of ``cls``, every
+    required field it lacks, and the first value whose type is not that of
+    its field's ``bool``, ``int``, ``float`` or ``str`` default (a ``float``
+    field also takes an ``int``; a ``bool`` is no ``int``)."""
     if not isinstance(raw, dict):
         raise EvaluationError(f"expected a mapping of {what}s, got {type(raw).__name__}")
     init = [f for f in fields(cls) if f.init and f.name not in fixed]
@@ -32,6 +34,12 @@ def from_mapping(cls, raw: dict, what: str, **fixed):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise EvaluationError(f"missing {what}(s): {', '.join(missing)}")
+    for f in init:
+        want, got = type(f.default), type(raw.get(f.name, f.default))
+        if want in (bool, int, float, str) and got is not want \
+                and not (want is float and got is int):
+            raise EvaluationError(f"{what} {f.name} must be {want.__name__}, "
+                                  f"got {got.__name__}")
     return cls(**raw, **fixed)
 
 

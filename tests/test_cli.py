@@ -119,6 +119,22 @@ BAD_CONFIGS = {
     "selection_typo": ({"selection": {"n_selct": 1}}, "n_selct"),
     "entry_grdi": ({"strategies": [{"kind": "static", "grdi": {"n": [7]}}]}, "grdi"),
     "entry_mode": ({"strategies": [{"kind": "static", "mode": "sequential"}]}, "mode"),
+    "entry_kind_list": ({"strategies": [{"kind": ["static"]}]}, "kind"),
+    "problems_str": ({"problems": "uf1"}, "problems"),
+    "problems_unknown": ({"problems": ["uf9"]}, "uf9"),
+    "dim_small": ({"dim": 2}, "dim"),
+    "budget_str": ({"budget": "60"}, "budget"),
+    "n_pf_str": ({"metrics": {"n_pf": "5"}}, "n_pf"),
+    "grid_not_list": ({"strategies": [{"kind": "static", "grid": {"n": 7}}]}, "grid"),
+    "grid_float_int": ({"strategies": [{"kind": "static", "grid": {"n": [2.0]}}]}, "n"),
+    "noise_sd": ({"noise": [{"kind": "gaussian", "sd": 0.5}]}, "sd"),
+    "noise_gauss": ({"noise": [{"kind": "gauss", "sigma": 0.5}]}, "gauss"),
+    "noise_negative": ({"noise": [{"kind": "gaussian", "sigma": -0.5}]}, "sigma"),
+    "noise_str": ({"noise": ["gaussian"]}, "noise"),
+    "noise_none_sigma": ({"noise": [{"kind": "none", "sigma": 0.5}]}, "sigma"),
+    "noise_gaussian_df": ({"noise": [{"kind": "gaussian", "sigma": 0.5, "df": 2}]}, "df"),
+    "noise_no_kind": ({"noise": [{"sigma": 0.5}]}, "sigma"),
+    "noise_df_float": ({"noise": [{"kind": "chisq", "sigma": 0.5, "df": 1.0}]}, "df"),
 }
 COMMANDS = {"run": ["--slice", "0"], "sweep": ["--jobs", "1"], "report": [],
             "select": ["--protocol", "split"]}

@@ -1,12 +1,13 @@
+import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from noisymoo import harness
-from noisymoo.harness import (AGGREGATE_HEADER, HV_VS_SIGMA_HEADER, PER_RUN_HEADER,
-                              ExperimentConfig, RunRecord, RunSlice, derive_seed,
+from noisymoo.harness import (AGGREGATE_HEADER, PER_RUN_HEADER, ExperimentConfig, RunRecord, RunSlice, derive_seed,
                               load_record, load_records, record_path, report,
                               run_single, select_params_prestudy, select_params_split,
                               sweep, write_record)
@@ -89,15 +90,20 @@ class TestConfigAndSlices:
 
     def test_every_desk_slice_builds(self):
         config = ExperimentConfig.load(DESK_CONFIG)
-        for budget in (config.budget, config.selection["prestudy_budget"]):
+        fingerprints = ""
+        for budget in (config.budget, config.selection.prestudy_budget):
             slices = config.slices(budget)
             assert len(slices) == 1482
             for slice_ in slices:
                 slice_.make_strategy()
+                fingerprints += slice_.fingerprint
+        # Fingerprints seed every run: the config -> slice path must not move them.
+        assert hashlib.sha256(fingerprints.encode()).hexdigest() == (
+            "b5c2298d036f38ad43d6f09fcafc5b407edaa58123575128f8bd3bb834760d18")
 
     def test_selection_keys_default_one_by_one(self):
         config = tiny_config(budget=2400, selection={"n_select": 1})
-        assert config.selection == {"n_select": 1, "n_compare": 4, "n_repeats": 100,
+        assert asdict(config.selection) == {"n_select": 1, "n_compare": 4, "n_repeats": 100,
                                     "prestudy_budget": 2000}
 
     def test_family_grouping(self):
@@ -284,7 +290,6 @@ class TestReport:
         paths = report(records, tmp_path)
         assert paths[0].read_text().splitlines()[0] == ",".join(PER_RUN_HEADER)
         assert paths[1].read_text().splitlines()[0] == ",".join(AGGREGATE_HEADER)
-        assert paths[2].read_text().splitlines()[0] == ",".join(HV_VS_SIGMA_HEADER)
 
     def test_row_counts(self, tmp_path):
         records = synthetic_records(["static", "arb"], ["none", "gaussian"], n_reps=3)

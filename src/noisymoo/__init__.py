@@ -2,7 +2,7 @@
 
 Library layout:
 
-* ``pareto`` — dominance relations, non-dominated sorting, crowding.
+* ``pareto`` — one dominance kernel, non-dominated sorting, crowding.
 * ``problems`` — UF1/UF2/UF3 mean functions with standardized noise.
 * ``bootstrap`` — dispersion pooling, corrected/mixed bootstrap of the
   sample mean, dominance probability, the adaptive resampling decision.
@@ -23,8 +23,7 @@ from .metrics import (MetricParams, MetricReport, hypervolume, igd_p, score_fina
 from .optimizers import (Evaluator, RteaConfig, RunResult, environmental_select,
                          nsga2_run, rtea_run, tournament_select)
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
-                     crowding_distance, dominates, indifferent, nondominated_sort,
-                     weakly_dominates)
+                     crowding_distance, nondominated_sort)
 from .problems import (NoiseLaw, NoisyProblem, evaluate_noisy, make_problem, sample_true_pf,
                        true_mean)
 from .resampling import (ArbStrategy, DecisionContext, RankStrategy, SeErrorStrategy,

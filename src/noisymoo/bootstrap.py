@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pareto import EvaluatedPoint, EvaluationError
+from .pareto import EvaluatedPoint, EvaluationError, weak_dominance
 
 if TYPE_CHECKING:
     from .resampling import ArbStrategy
@@ -140,14 +140,7 @@ def dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray, *, strict: b
     variant uses <= instead. Always in [0, 1], and the strict variant
     satisfies P(A over B) + P(B over A) <= 1.
     """
-    a = np.asarray(draws_a, dtype=float)
-    b = np.asarray(draws_b, dtype=float)
-    if a.shape[1] != b.shape[1]:
-        raise EvaluationError("draw sets differ in objective dimension")
-    beats = np.less if strict else np.less_equal
-    hits = beats(a[:, 0][:, None], b[:, 0][None, :])
-    for t in range(1, a.shape[1]):
-        hits &= beats(a[:, t][:, None], b[:, t][None, :])
+    hits = weak_dominance(draws_a, draws_b, strict=strict)
     return np.count_nonzero(hits) / hits.size
 
 
@@ -155,6 +148,7 @@ def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray,
                     strict: bool) -> np.ndarray:
     """(T, R) counts of cross pairs where the candidate beats rival r on objective t.
 
+    The counts only bound the dominance probability (module docstring).
     ``rival_draws`` has shape (R, B, T). A candidate draw beats a rival
     draw on t when it is smaller (``strict``) or not larger. Sorting each
     rival's keys changes no row sum but makes the binary searches run

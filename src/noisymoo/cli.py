@@ -5,11 +5,12 @@ the two unbiased comparison protocols, ``report`` the CSV outputs.
 ``select`` and ``report`` only read the records a sweep wrote; with any
 record missing they list it and exit 2 without running anything. A config
 that fails to load (an unknown key, parameter, problem or noise kind, a
-value of the wrong type or out of range) is one line on stderr and exit 2,
-before anything runs or is written; so is any other :class:`EvaluationError`
-a command raises, among them a record made under another base seed or other
-metric parameters. The output root is --out, else the config's output_dir;
-every run's seed derives from the config's base_seed.
+value of the wrong type or out of range, a repeated grid entry, a run shape
+NSGA-II refuses) is one line on stderr and exit 2, before anything runs or
+is written; so is any other :class:`EvaluationError` a command raises, among
+them a ``run --rep`` outside the replications or a record made under another
+base seed or other metric parameters. The output root is --out, else the
+config's output_dir; every run's seed derives from the config's base_seed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
     slices = config.slices()
     if not 0 <= args.slice < len(slices):
         raise EvaluationError(f"slice index out of range (0..{len(slices) - 1})")
+    if not 0 <= args.rep < config.replications:
+        raise EvaluationError(f"replication index out of range (0..{config.replications - 1})")
     slice_ = slices[args.slice]
     seed = derive_seed(config.base_seed, slice_.fingerprint, args.rep)
     record = run_single(slice_, args.rep, seed, config.metric_params())

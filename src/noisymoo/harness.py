@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .metrics import MetricParams, _nadir, score_final_set
-from .optimizers import RteaConfig, RunResult, nsga2_run, rtea_run
+from .optimizers import RteaConfig, RunResult, check_run_shape, nsga2_run, rtea_run
 from .pareto import EvaluationError, from_mapping
 from .problems import NoiseLaw, make_problem, sample_true_pf
 from .resampling import ResamplingStrategy, strategy_from_dict
@@ -196,14 +196,22 @@ class ExperimentConfig:
         self.noise = [_noise_slice(raw) for raw in self.noise]
         self.strategies = [from_mapping(StrategyEntry, raw, "strategy entry key")
                            for raw in self.strategies]
+        combos = [c for entry in self.strategies for c in entry.combinations()]
+        for what, items in (("problem", self.problems), ("noise entry", self.noise),
+                            ("strategy", combos)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise EvaluationError(f"{what} {_canonical(item)} is listed twice")
         self.selection = from_mapping(SelectionParams, self.selection, "selection key")
         self.metrics = from_mapping(MetricParams, self.metrics, "metrics key")
         if self.budget < self.selection.prestudy_budget:
             raise EvaluationError("budget must not be smaller than the prestudy budget")
-        # Build every slice's strategy now, so a bad grid value fails at load.
+        # Build and shape-check every slice's strategy now: a bad value fails at load.
         for budget in {self.budget, self.selection.prestudy_budget}:
             for slice_ in self.slices(budget):
-                slice_.make_strategy()
+                strategy = slice_.make_strategy()
+                if not isinstance(strategy, RteaConfig):
+                    check_run_shape(strategy, self.popsize, budget)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

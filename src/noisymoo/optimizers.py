@@ -18,7 +18,7 @@ import numpy as np
 
 from .bootstrap import DispersionSet, push_newest_residual
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
-                     dominates, nondominated_sort)
+                     nondominated_sort, weak_dominance)
 from .problems import NoisyProblem, evaluate_noisy, true_mean
 from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy,
                          StaticStrategy, should_resample)
@@ -148,6 +148,19 @@ def _initialize_arb(ev: Evaluator, strategy: ArbStrategy, popsize: int,
     return environmental_select(points, popsize), dispersion
 
 
+def check_run_shape(strategy: ResamplingStrategy, popsize: int, budget: int) -> None:
+    """Raise :class:`EvaluationError` for a popsize, budget or arb
+    ``init_popsize`` that :func:`nsga2_run` cannot run."""
+    if popsize < 2 or popsize % 2:
+        raise EvaluationError(f"popsize must be even and at least 2, got {popsize}")
+    arb = isinstance(strategy, ArbStrategy)
+    init_cost = strategy.init_popsize + strategy.seed_size if arb else popsize
+    if budget < init_cost:
+        raise EvaluationError(f"budget {budget} below initialization cost {init_cost}")
+    if arb and strategy.init_popsize < max(popsize, strategy.seed_size):
+        raise EvaluationError("arb init_popsize must cover popsize and seed_size")
+
+
 def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
               budget: int, variation: VariationConfig,
               rng: np.random.Generator) -> RunResult:
@@ -161,15 +174,9 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
     the decision function approves. The planning horizon for time-based
     decisions is budget // popsize generations.
     """
-    if popsize < 2 or popsize % 2:
-        raise EvaluationError("popsize must be even and at least 2")
+    check_run_shape(strategy, popsize, budget)
     arb = isinstance(strategy, ArbStrategy)
     one_shot = isinstance(strategy, StaticStrategy)
-    init_cost = strategy.init_popsize + strategy.seed_size if arb else popsize
-    if budget < init_cost:
-        raise EvaluationError(f"budget {budget} below initialization cost {init_cost}")
-    if arb and strategy.init_popsize < max(popsize, strategy.seed_size):
-        raise EvaluationError("arb init_popsize must cover popsize and seed_size")
 
     ev = Evaluator(problem, rng, budget)
     dispersion: DispersionSet | None = None
@@ -245,32 +252,22 @@ class RteaConfig:
         return int(round(self.z * self.m))
 
 
-def _front_insert(front: list[EvaluatedPoint], archive: list[EvaluatedPoint],
-                  point: EvaluatedPoint) -> None:
-    # Keep `front` mutually non-dominated under current means; losers go to
-    # the archive and stay there.
-    if any(dominates(f.mean, point.mean) for f in front):
+def _reseat(front: list[EvaluatedPoint], archive: list[EvaluatedPoint],
+            point: EvaluatedPoint) -> None:
+    """Place ``point`` (new, or a member whose mean moved) so ``front`` stays
+    mutually non-dominated; losers are archived for good. One kernel call over
+    [point, *front]: row and column 0 compare it with each member, itself neutral."""
+    means = np.array([point.mean] + [f.mean for f in front])
+    weak = weak_dominance(means, means)
+    if (weak[1:, 0] & ~weak[0, 1:]).any():
+        front[:] = [f for f in front if f is not point]
         archive.append(point)
         return
-    expelled = [f for f in front if dominates(point.mean, f.mean)]
-    front[:] = [f for f in front if not dominates(point.mean, f.mean)]
-    front.append(point)
-    archive.extend(expelled)
-
-
-def _front_refresh(front: list[EvaluatedPoint], archive: list[EvaluatedPoint],
-                   member: EvaluatedPoint) -> None:
-    # A re-evaluated member's mean moved; it either drops out or expels
-    # newly dominated members (never both: domination is transitive).
-    others = [f for f in front if f is not member]
-    if any(dominates(f.mean, member.mean) for f in others):
-        front[:] = others
-        archive.append(member)
-        return
-    expelled = [f for f in others if dominates(member.mean, f.mean)]
-    if expelled:
-        front[:] = [f for f in front if f is member or not dominates(member.mean, f.mean)]
-        archive.extend(expelled)
+    expel = weak[0, 1:] & ~weak[1:, 0]
+    archive.extend(f for f, out in zip(front, expel) if out)
+    front[:] = [f for f, out in zip(front, expel) if not out]
+    if all(f is not point for f in front):
+        front.append(point)
 
 
 def _fewest_evaluated(front: list[EvaluatedPoint], rng: np.random.Generator) -> EvaluatedPoint:
@@ -310,20 +307,20 @@ def rtea_run(problem: NoisyProblem, cfg: RteaConfig, variation: VariationConfig,
         child = ev.spawn(child_x, iteration)
         if child is None:
             break
-        _front_insert(front, archive, child)
+        _reseat(front, archive, child)
         for _ in range(cfg.k):
             if ev.remaining <= refine:
                 break
             target = _fewest_evaluated(front, rng)
             if not ev.reevaluate(target, iteration):
                 break
-            _front_refresh(front, archive, target)
+            _reseat(front, archive, target)
 
     while ev.remaining > 0:
         iteration += 1
         target = _fewest_evaluated(front, rng)
         if not ev.reevaluate(target, iteration):
             break
-        _front_refresh(front, archive, target)
+        _reseat(front, archive, target)
 
     return RunResult(population=front + archive, front=list(front), log=ev.log, spent=ev.spent)

@@ -1,9 +1,10 @@
-"""Objective-space vocabulary: dominance relations, non-dominated sorting,
+"""Objective-space vocabulary: one dominance kernel, non-dominated sorting,
 crowding distance, Pareto ranks.
 
-All comparisons are under minimization. Optimizers compare points by their
-sample means, never by individual noisy samples; every function here is a
-pure function of its inputs.
+All comparisons are under minimization, and every dominance question goes
+through :func:`weak_dominance`. Optimizers compare points by their sample
+means, never by individual noisy samples; every function here is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -43,57 +44,26 @@ def from_mapping(cls, raw: dict, what: str, **fixed):
     return cls(**raw, **fixed)
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise EvaluationError(f"objective vectors differ in length: {a.shape} vs {b.shape}")
-
-
-def weakly_dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff a is at least as good as b in every objective (a_t <= b_t)."""
+def weak_dominance(a: np.ndarray, b: np.ndarray, *, strict: bool = False) -> np.ndarray:
+    """The kernel: out[i, j] is True iff row i of ``a`` is <= row j of ``b``
+    in every objective (< with ``strict``), one comparison per objective.
+    Raises :class:`EvaluationError` if the objective counts differ."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    _check_pair(a, b)
-    return bool(np.all(a <= b))
-
-
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff a <= b everywhere and a < b in at least one objective."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_pair(a, b)
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
-def indifferent(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff neither vector dominates the other.
-
-    For every pair exactly one of ``dominates(a, b)``, ``dominates(b, a)``
-    and ``indifferent(a, b)`` holds.
-    """
-    return not dominates(a, b) and not dominates(b, a)
-
-
-def weak_dominance_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Pairwise weak dominance: out[i, j] is True iff row i <= row j everywhere.
-
-    Built from one (n, n) comparison per objective; the diagonal is True.
-    """
-    objs = np.asarray(objectives, dtype=float)
-    column = objs[:, 0]
-    weak = column[:, None] <= column[None, :]
-    for t in range(1, objs.shape[1]):
-        column = objs[:, t]
-        weak &= column[:, None] <= column[None, :]
-    return weak
+    if a.shape[1] != b.shape[1]:
+        raise EvaluationError(f"objective counts differ: {a.shape[1]} vs {b.shape[1]}")
+    beats = np.less if strict else np.less_equal
+    out = beats(a[:, 0][:, None], b[:, 0][None, :])
+    for t in range(1, a.shape[1]):
+        out &= beats(a[:, t][:, None], b[:, t][None, :])
+    return out
 
 
 def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Pairwise strict dominance: out[i, j] is True iff row i dominates row j.
-
-    Given a_t <= b_t everywhere, a_t < b_t somewhere is the same as b not
-    weakly dominating a, so the strict relation is ``weak & ~weak.T``.
-    """
-    weak = weak_dominance_matrix(objectives)
+    """Pareto dominance: out[i, j] is True iff row i dominates row j. Given
+    a_t <= b_t everywhere, a_t < b_t somewhere is the same as b not weakly
+    dominating a, so the relation is ``weak & ~weak.T``."""
+    weak = weak_dominance(objectives, objectives)
     return weak & ~weak.T
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bootstrap
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation, from_mapping,
-                     weak_dominance_matrix)
+                     weak_dominance)
 
 _STRENGTH_TOL = 1e-12
 
@@ -148,7 +148,8 @@ def all_strengths(pop: RankedPopulation) -> np.ndarray:
     Self-exclusion keeps the all-strengths-zero case reachable (a point
     always weakly dominates itself).
     """
-    weak = weak_dominance_matrix(pop.means)
+    means = pop.means
+    weak = weak_dominance(means, means)
     np.fill_diagonal(weak, False)
     return weak.sum(axis=1) / len(pop)
 

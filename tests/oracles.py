@@ -30,6 +30,43 @@ def brute_dominance_matrix(objs: np.ndarray) -> np.ndarray:
     return dom
 
 
+def brute_weak_dominance(a: np.ndarray, b: np.ndarray, strict: bool = False) -> np.ndarray:
+    """out[i, j]: row i of a is <= (strict: <) row j of b in every objective."""
+    out = np.zeros((len(a), len(b)), dtype=bool)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            ok = True
+            for x, y in zip(a[i], b[j]):
+                if x > y or (strict and x == y):
+                    ok = False
+            out[i, j] = ok
+    return out
+
+
+def brute_reseat(front: list, archive: list, point) -> None:
+    """RTEA's front update under means, one case at a time. A new point is
+    archived if a member dominates it; otherwise it evicts the members it
+    dominates and joins the end. A member whose mean moved is archived if
+    another member dominates it; otherwise it evicts the members it now
+    dominates and keeps its place."""
+    if any(f is point for f in front):
+        others = [f for f in front if f is not point]
+        if any(brute_dominates(f.mean, point.mean) for f in others):
+            front[:] = others
+            archive.append(point)
+            return
+        expelled = [f for f in others if brute_dominates(point.mean, f.mean)]
+        front[:] = [f for f in front if f is point or not brute_dominates(point.mean, f.mean)]
+        archive.extend(expelled)
+        return
+    if any(brute_dominates(f.mean, point.mean) for f in front):
+        archive.append(point)
+        return
+    expelled = [f for f in front if brute_dominates(point.mean, f.mean)]
+    front[:] = [f for f in front if not brute_dominates(point.mean, f.mean)] + [point]
+    archive.extend(expelled)
+
+
 def brute_strengths(objs: np.ndarray) -> np.ndarray:
     """Per point: the share of the n points other than itself it weakly dominates."""
     n = len(objs)

@@ -46,6 +46,15 @@ def test_run_rejects_bad_slice_index(config_path, tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("rep", ["2", "7", "-1"])
+def test_run_rejects_bad_rep_index(rep, config_path, tmp_path, capsys):
+    assert main(["run", "--config", str(config_path), "--slice", "0", "--rep", rep,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "replication index out of range (0..1)" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_sweep_select_report_pipeline(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config_path), "--jobs", "2",
@@ -135,6 +144,25 @@ BAD_CONFIGS = {
     "noise_gaussian_df": ({"noise": [{"kind": "gaussian", "sigma": 0.5, "df": 2}]}, "df"),
     "noise_no_kind": ({"noise": [{"sigma": 0.5}]}, "sigma"),
     "noise_df_float": ({"noise": [{"kind": "chisq", "sigma": 0.5, "df": 1.0}]}, "df"),
+    "problem_repeated": ({"problems": ["uf1", "uf3", "uf1"]}, 'problem "uf1" is listed twice'),
+    "noise_repeated": ({"noise": [{"kind": "none"}, {"kind": "none"}]},
+                       'noise entry {"kind":"none"} is listed twice'),
+    "noise_sigma_int_float": ({"noise": [{"kind": "gaussian", "sigma": 1},
+                                         {"kind": "gaussian", "sigma": 1.0}]},
+                              '{"kind":"gaussian","sigma":1.0} is listed twice'),
+    "grid_repeated": ({"strategies": [{"kind": "static", "grid": {"n": [1, 1]}}]},
+                      'strategy {"kind":"static","n":1} is listed twice'),
+    "entries_repeated": ({"strategies": [{"kind": "static", "grid": {"n": [2]}},
+                                         {"kind": "rank"},
+                                         {"kind": "static", "grid": {"n": [1, 2]}}]},
+                         'strategy {"kind":"static","n":2} is listed twice'),
+    "popsize_odd": ({"popsize": 7}, "popsize"),
+    "arb_budget_below_init": ({"budget": 60, "selection": {"prestudy_budget": 60},
+                               "strategies": [{"kind": "arb"}]},
+                              "budget 60 below initialization cost 220"),
+    "prestudy_below_init": ({"strategies": [{"kind": "arb", "grid": {"init_popsize": [270],
+                                                                     "seed_size": [6]}}]},
+                            "budget 250 below initialization cost 276"),
 }
 COMMANDS = {"run": ["--slice", "0"], "sweep": ["--jobs", "1"], "report": [],
             "select": ["--protocol", "split"]}

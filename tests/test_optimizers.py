@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymoo.metrics import score_final_set
-from noisymoo.optimizers import (Evaluator, RteaConfig, environmental_select,
+from noisymoo.optimizers import (Evaluator, RteaConfig, _reseat, environmental_select,
                                  nsga2_run, rtea_run, tournament_select,
                                  tournament_winner)
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
@@ -15,7 +15,7 @@ from noisymoo.problems import NoiseLaw, make_problem
 from noisymoo.resampling import ArbStrategy, SeErrorStrategy, StaticStrategy
 from noisymoo.variation import VariationConfig, make_children, polynomial_mutate, sbx_pair
 
-from .oracles import brute_environmental_select
+from .oracles import brute_dominates, brute_environmental_select, brute_reseat
 
 VAR = VariationConfig()
 
@@ -177,10 +177,9 @@ class TestNsga2:
         res = nsga2_run(problem, StaticStrategy(n=1), 10, 300, VAR,
                         np.random.default_rng(21))
         means = [p.mean for p in res.front]
-        from noisymoo.pareto import dominates
         for i, a in enumerate(means):
             for j, b in enumerate(means):
-                assert i == j or not dominates(a, b)
+                assert i == j or not brute_dominates(a, b)
 
 
 class TestRtea:
@@ -213,11 +212,31 @@ class TestRtea:
     def test_front_is_nondominated_under_means(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=1.0))
         res = rtea_run(problem, RteaConfig(m=600), VAR, np.random.default_rng(23))
-        from noisymoo.pareto import dominates
         means = [p.mean for p in res.front]
         for i, a in enumerate(means):
             for j, b in enumerate(means):
-                assert i == j or not dominates(a, b)
+                assert i == j or not brute_dominates(a, b)
+
+    @pytest.mark.parametrize("n_obj", [2, 3])
+    def test_reseat_matches_bruteforce(self, n_obj):
+        # Means on a 0.5 grid (a quarter grid once a member moves) make ties
+        # and equal means common.
+        rng = np.random.default_rng(40 + n_obj)
+        grid = lambda: rng.integers(0, 5, size=n_obj) * 0.5
+        for trial in range(300):
+            front = [EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=i)
+                     for i in range(rng.integers(1, 13))]
+            archive = [EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=-2)]
+            if trial % 2:
+                point = EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=99)
+            else:
+                point = front[rng.integers(0, len(front))]
+                point.add_sample(grid())
+            got_front, got_archive = list(front), list(archive)
+            _reseat(got_front, got_archive, point)
+            brute_reseat(front, archive, point)
+            assert [id(p) for p in got_front] == [id(p) for p in front]
+            assert [id(p) for p in got_archive] == [id(p) for p in archive]
 
 
 class TestEvaluator:

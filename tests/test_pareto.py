@@ -5,12 +5,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, crowding_distance,
-                             dominance_matrix, dominates, front_ranks, indifferent,
-                             nondominated_sort, weakly_dominates)
+                             dominance_matrix, front_ranks, nondominated_sort,
+                             weak_dominance)
 
-from .oracles import brute_dominance_matrix, brute_front_ranks
+from .oracles import brute_dominance_matrix, brute_front_ranks, brute_weak_dominance
 
 vec = lambda *v: np.array(v, dtype=float)
+
+
+def weak_pair(a, b, strict=False):
+    return bool(weak_dominance(vec(*a)[None], vec(*b)[None], strict=strict)[0, 0])
+
+
+def dominates(a, b):
+    return bool(dominance_matrix(np.array([a, b], dtype=float))[0, 1])
 
 
 def _points(objs):
@@ -27,37 +35,50 @@ finite_objs = hnp.arrays(
 
 class TestRelations:
     def test_weak_dominance(self):
-        assert weakly_dominates(vec(1, 2), vec(1, 2))
-        assert weakly_dominates(vec(0, 0), vec(1, 1))
-        assert not weakly_dominates(vec(0, 2), vec(1, 1))
+        assert weak_pair((1, 2), (1, 2))
+        assert weak_pair((0, 0), (1, 1))
+        assert not weak_pair((0, 2), (1, 1))
+        # strict means < in every objective, which is not Pareto dominance
+        assert weak_pair((0, 0), (1, 1), strict=True)
+        assert not weak_pair((1, 2), (1, 2), strict=True)
+        assert not weak_pair((0, 2), (1, 2), strict=True)
 
     def test_strict_dominance(self):
-        assert not dominates(vec(1, 2), vec(1, 2))
-        assert dominates(vec(0, 2), vec(1, 2))
-        assert not dominates(vec(1, 1), vec(0, 0))
+        assert not dominates((1, 2), (1, 2))
+        assert dominates((0, 2), (1, 2))
+        assert not dominates((1, 1), (0, 0))
 
     def test_indifference(self):
-        assert indifferent(vec(1, 2), vec(1, 2))
-        assert indifferent(vec(0, 2), vec(1, 1))
-        assert not indifferent(vec(0, 0), vec(1, 1))
+        assert not dominance_matrix([(1, 2), (1, 2)]).any()
+        assert not dominance_matrix([(0, 2), (1, 1)]).any()
+        assert dominance_matrix([(0, 0), (1, 1)]).any()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(EvaluationError):
-            dominates(vec(1, 2), vec(1, 2, 3))
+            weak_dominance(vec(1, 2)[None], vec(1, 2, 3)[None])
 
     @given(finite_objs)
     def test_trichotomy(self, objs):
-        a, b = objs[0], objs[-1]
-        outcomes = [dominates(a, b), dominates(b, a), indifferent(a, b)]
-        assert sum(outcomes) == 1
+        dom = dominance_matrix(objs)
+        assert not (dom & dom.T).any()
 
     @given(finite_objs)
     def test_strict_implies_weak(self, objs):
-        a, b = objs[0], objs[-1]
-        if dominates(a, b):
-            assert weakly_dominates(a, b)
-        if weakly_dominates(a, b) and weakly_dominates(b, a):
-            assert np.array_equal(a, b)
+        dom, weak = dominance_matrix(objs), weak_dominance(objs, objs)
+        assert (dom <= weak).all()
+        for i, j in np.argwhere(weak & weak.T):
+            assert np.array_equal(objs[i], objs[j])
+
+    @pytest.mark.parametrize("n_obj", [2, 3])
+    def test_kernel_matches_bruteforce_on_non_square_shapes(self, n_obj):
+        # Values on a 0.5 grid make ties on single objectives common.
+        rng = np.random.default_rng(10 + n_obj)
+        for n_a, n_b in ((1, 9), (9, 1), (1, 2), (4, 17), (17, 4)):
+            a = rng.integers(0, 5, size=(n_a, n_obj)) * 0.5
+            b = rng.integers(0, 5, size=(n_b, n_obj)) * 0.5
+            for strict in (False, True):
+                assert np.array_equal(weak_dominance(a, b, strict=strict),
+                                      brute_weak_dominance(a, b, strict))
 
 
 class TestSorting:

@@ -13,6 +13,9 @@ The pieces, bottom to top:
   replicate comes from the shared pool, the other N - 1 from the point's
   own samples. With a single observation this degenerates to mean + pool
   draw; as N grows the point's own dispersion dominates.
+  ``bootstrap_means_stacked`` is the same scheme for several points at
+  once: one random draw covers all of them, point by point, and gives the
+  same values and generator state as one call per point in that order.
 * ``dominance_probability`` — cross-pair frequency with which one replicate
   cloud strictly dominates another.
 * ``arb_decide`` — the adaptive resampling rule: spend another evaluation
@@ -111,26 +114,47 @@ def bootstrap_means(point: EvaluatedPoint, n_draws: int, rng: np.random.Generato
     return point.mean + residuals[idx].mean(axis=1)
 
 
-def bootstrap_means_pooled(point: EvaluatedPoint, dispersion: DispersionSet,
-                           n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Mixed bootstrap replicates: one pooled summand, N - 1 own summands.
+def bootstrap_means_stacked(points: list[EvaluatedPoint], dispersion: DispersionSet,
+                            n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Mixed bootstrap replicates of several points, shape (k, B, T).
 
-    Each replicate is mean + (1/N) * (E + sum of N - 1 own scaled residual
-    draws) with E uniform from the centered dispersion pool. For N = 1 this
-    reduces to mean + E.
+    Row i holds point i's replicates: mean + (1/N) * (E + sum of N - 1 own
+    scaled residual draws) with E uniform from the centered dispersion pool,
+    or mean + E for N = 1. All indices come from one ``rng.integers`` call
+    whose bounds run point by point: B pool indices (bound: pool size), then
+    B * (N - 1) own indices (bound: N). numpy draws an array of bounds
+    element by element, so the values and the generator state afterwards
+    equal those of one sized call per segment in that order.
     """
     pool = dispersion.centered()
-    pooled = pool.take(rng.integers(0, pool.shape[0], size=n_draws), axis=0)
-    n = point.count
-    if n == 1:
-        return point.mean + pooled
-    residuals = point.scaled_residuals()
-    idx = rng.integers(0, n, size=(n_draws, n - 1))
-    # For T >= 2 objectives, summing the (n - 1, B, T) gather over its first
-    # axis adds the same terms in the same order as summing the (B, n - 1, T)
-    # gather over its middle axis, so the replicates are bit-identical.
-    own = residuals.take(idx.T, axis=0).sum(axis=0)
-    return point.mean + (pooled + own) / n
+    counts = [p.count for p in points]
+    draws = rng.integers(0, np.repeat([b for n in counts for b in (pool.shape[0], n)],
+                                      [k for n in counts for k in (n_draws, n_draws * (n - 1))]))
+    out = np.empty((len(points), n_draws, pool.shape[1]))
+    start = 0
+    for i, (point, n) in enumerate(zip(points, counts)):
+        pooled = pool.take(draws[start:start + n_draws], axis=0)
+        start += n_draws
+        if n == 1:
+            np.add(point.mean, pooled, out=out[i])
+            continue
+        residuals = point.scaled_residuals()
+        idx = draws[start:start + n_draws * (n - 1)].reshape(n_draws, n - 1)
+        start += n_draws * (n - 1)
+        # For T >= 2 objectives, summing the (n - 1, B, T) gather over its
+        # first axis adds the same terms in the same order as summing the
+        # (B, n - 1, T) gather over its middle axis, so the replicates are
+        # bit-identical.
+        own = residuals.take(idx.T, axis=0).sum(axis=0)
+        out[i] = point.mean + (pooled + own) / n
+    return out
+
+
+def bootstrap_means_pooled(point: EvaluatedPoint, dispersion: DispersionSet,
+                           n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    """Mixed bootstrap replicates of one point, shape (B, T): one pooled
+    summand, N - 1 own summands (see :func:`bootstrap_means_stacked`)."""
+    return bootstrap_means_stacked([point], dispersion, n_draws, rng)[0]
 
 
 def dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray, *, strict: bool = True) -> float:
@@ -170,8 +194,9 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
 
     Computes p* = max over front members (the candidate itself excluded) of
     the bootstrap probability that the candidate's mean dominates the
-    member's mean, with fresh replicates on every call: the candidate's
-    first, then each rival's in front order. Returns False when p* >
+    member's mean, with fresh replicates on every call. One random draw
+    covers the whole decision, in segments: the candidate's first, then
+    each rival's in front order. Returns False when p* >
     alpha_u (confidently good) or p* < alpha_l (hopeless), True inside the
     band, as ``thresholds.side`` places it. A candidate that is the sole
     front member has no comparison target, which counts as p* = 0. Exact
@@ -183,9 +208,8 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     rivals = [s for s in front if s is not candidate]
     if not rivals:
         return False
-    candidate_draws = bootstrap_means_pooled(candidate, dispersion, n_draws, rng)
-    rival_draws = np.stack([bootstrap_means_pooled(r, dispersion, n_draws, rng)
-                            for r in rivals])
+    draws = bootstrap_means_stacked([candidate, *rivals], dispersion, n_draws, rng)
+    candidate_draws, rival_draws = draws[0], draws[1:]
     wins = _objective_wins(candidate_draws, rival_draws, strict=not weak)
     pairs = n_draws * n_draws
     upper = wins.min(axis=0) / pairs

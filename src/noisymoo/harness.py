@@ -206,12 +206,19 @@ class ExperimentConfig:
         self.metrics = from_mapping(MetricParams, self.metrics, "metrics key")
         if self.budget < self.selection.prestudy_budget:
             raise EvaluationError("budget must not be smaller than the prestudy budget")
-        # Build and shape-check every slice's strategy now: a bad value fails at load.
+        # Build and shape-check every slice's strategy now: a bad value fails at
+        # load. Two spellings of one strategy (an omitted default) build equal
+        # objects and would run the same strategy twice.
         for budget in {self.budget, self.selection.prestudy_budget}:
+            built = {}
             for slice_ in self.slices(budget):
                 strategy = slice_.make_strategy()
                 if not isinstance(strategy, RteaConfig):
                     check_run_shape(strategy, self.popsize, budget)
+                twin = built.setdefault((slice_.setting_key(), strategy), slice_)
+                if twin is not slice_:
+                    raise EvaluationError(f"strategies {twin.strategy_label} and "
+                                          f"{slice_.strategy_label} are the same strategy")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

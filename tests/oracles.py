@@ -161,3 +161,20 @@ def monte_carlo_hypervolume(points: np.ndarray, nadir: np.ndarray,
     for p in pts:
         dominated |= np.all(samples > p, axis=1)
     return dominated.mean() * volume
+
+
+def brute_bootstrap_means_pooled(point, dispersion, n_draws: int,
+                                 rng: np.random.Generator) -> np.ndarray:
+    """One point's mixed bootstrap replicates, shape (B, T), drawn with two
+    sized ``rng.integers`` calls: B pool indices, then a (B, N - 1) block of
+    own indices. Each replicate is mean + (E + own draws summed) / N, or
+    mean + E for N = 1."""
+    pool = dispersion.centered()
+    pooled = pool.take(rng.integers(0, pool.shape[0], size=n_draws), axis=0)
+    n = point.count
+    if n == 1:
+        return point.mean + pooled
+    residuals = point.scaled_residuals()
+    idx = rng.integers(0, n, size=(n_draws, n - 1))
+    own = residuals.take(idx.T, axis=0).sum(axis=0)
+    return point.mean + (pooled + own) / n

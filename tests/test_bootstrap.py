@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from noisymoo import bootstrap
 from noisymoo.bootstrap import (DispersionSet, arb_decide, bootstrap_means,
-                                bootstrap_means_pooled, dominance_probability,
-                                push_newest_residual)
+                                bootstrap_means_pooled, bootstrap_means_stacked,
+                                dominance_probability, push_newest_residual)
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
 from noisymoo.resampling import ArbStrategy
 
-from .oracles import brute_dominance_probability
+from .oracles import brute_bootstrap_means_pooled, brute_dominance_probability
 
 vec = lambda *v: np.array(v, dtype=float)
 
@@ -156,6 +156,43 @@ class TestPooledBootstrap:
             downward += sum(b < a for a, b in zip(spreads, spreads[1:]))
         assert downward > 30  # majority of the 60 adjacent comparisons
 
+    def test_stacked_replicates_match_per_point_calls(self):
+        # One array-bound draw must reproduce successive per-point sized
+        # draws: replicate bits, generator state and the draws that follow.
+        # Half the plans start with a spare 32-bit half in the generator;
+        # signed-zero samples give residuals of both signs of zero.
+        plans = np.random.default_rng(2024)
+        spare_plans = 0
+        for case in range(120):
+            n_obj = int(plans.integers(2, 4))
+            ds = DispersionSet()
+            for _ in range(int(plans.integers(1, 101))):
+                ds.push(plans.normal(size=n_obj))
+            points = []
+            for _ in range(int(plans.integers(1, 31))):
+                count = int(plans.integers(1, 31))
+                samples = plans.normal(size=(count, n_obj))
+                if plans.random() < 0.3:
+                    samples[:, 0] = plans.choice([0.0, -0.0], size=count)
+                points.append(EvaluatedPoint(decision=np.zeros(2), samples=list(samples)))
+            n_draws = int(plans.choice([1, 7, 100]))
+            seed = int(plans.integers(2**32))
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            if case % 2:
+                rng.integers(0, 7)
+                twin.integers(0, 7)
+                assert rng.bit_generator.state["has_uint32"]
+                spare_plans += 1
+            stacked = bootstrap_means_stacked(points, ds, n_draws, rng)
+            expected = np.stack([brute_bootstrap_means_pooled(pt, ds, n_draws, twin)
+                                 for pt in points])
+            assert stacked.shape == (len(points), n_draws, n_obj)
+            assert np.array_equal(stacked.view(np.uint64), expected.view(np.uint64))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert np.array_equal(rng.integers(0, 1000, size=3), twin.integers(0, 1000, size=3))
+            assert rng.random() == twin.random()
+        assert spare_plans == 60
+
 
 class TestDominanceProbability:
     def test_enumerated_example(self):
@@ -271,8 +308,9 @@ class TestArbDecision:
         rng = np.random.default_rng(100 + 10 * n_obj + weak)
         n_draws = 20
         draws = {}
-        monkeypatch.setattr(bootstrap, "bootstrap_means_pooled",
-                            lambda pt, dispersion, n, gen: draws[id(pt)])
+        monkeypatch.setattr(bootstrap, "bootstrap_means_stacked",
+                            lambda pts, dispersion, n, gen: np.stack([draws[id(pt)]
+                                                                      for pt in pts]))
         exact_calls = []
         dominance = bootstrap.dominance_probability
 

@@ -1,4 +1,11 @@
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +163,12 @@ BAD_CONFIGS = {
                                          {"kind": "rank"},
                                          {"kind": "static", "grid": {"n": [1, 2]}}]},
                          'strategy {"kind":"static","n":2} is listed twice'),
+    "static_default_twice": ({"strategies": [{"kind": "static"},
+                                             {"kind": "static", "grid": {"n": [1]}}]},
+                             "strategies static() and static(n=1) are the same strategy"),
+    "arb_default_twice": ({"strategies": [{"kind": "arb"},
+                                          {"kind": "arb", "grid": {"alpha_l": [0.2]}}]},
+                          "strategies arb() and arb(alpha_l=0.2) are the same strategy"),
     "popsize_odd": ({"popsize": 7}, "popsize"),
     "arb_budget_below_init": ({"budget": 60, "selection": {"prestudy_budget": 60},
                                "strategies": [{"kind": "arb"}]},
@@ -257,3 +270,58 @@ def test_select_error_exits_2_with_one_line(config_path, tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "split needs 3 replications, have 2" in err[0]
     assert not list(out.glob("selection_*.json"))
+
+
+def _sweep_argv(config_path, out):
+    return [sys.executable, "-m", "noisymoo.cli", "sweep", "--config", str(config_path),
+            "--jobs", "2", "--out", str(out)]
+
+
+def _sweep_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def _sweep_killed_at(config_path, out, n_records):
+    """Start a sweep in its own session and SIGKILL its whole process group
+    once ``n_records`` records exist. Returns the record count at the kill."""
+    proc = subprocess.Popen(_sweep_argv(config_path, out), env=_sweep_env(),
+                            start_new_session=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while len(list(out.glob("records/*.json"))) < n_records:
+            assert proc.poll() is None, "the sweep ended before it could be killed"
+            assert time.monotonic() < deadline, "the sweep made no progress"
+            time.sleep(0.005)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    return len(list(out.glob("records/*.json")))
+
+
+def test_killed_sweep_resumes_to_the_same_bytes(config_path, tmp_path):
+    config = json.loads(config_path.read_text())
+    config.update(noise=[{"kind": "none"}, {"kind": "gaussian", "sigma": 0.5}],
+                  strategies=config["strategies"][:3])  # 2 x 4 slices x 2 reps
+    config_path.write_text(json.dumps(config))
+    reference = tmp_path / "reference"
+    assert main(["sweep", "--config", str(config_path), "--out", str(reference)]) == 0
+    expected = {p.name: p.read_bytes() for p in (reference / "records").iterdir()}
+    assert len(expected) == 16
+
+    out = tmp_path / "out"
+    for threshold in (1, 10):
+        assert threshold <= _sweep_killed_at(config_path, out, threshold) < 16
+    done = subprocess.run(_sweep_argv(config_path, out), env=_sweep_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    # iterdir also lists the hidden temp files, so none may be left over.
+    assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == expected
+
+    again = subprocess.run(_sweep_argv(config_path, out), env=_sweep_env(),
+                           capture_output=True, text=True, timeout=300)
+    assert again.returncode == 0, again.stderr
+    assert "0 of 16 runs started" in again.stdout

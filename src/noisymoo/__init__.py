@@ -6,8 +6,8 @@ Library layout:
 * ``problems`` — UF1/UF2/UF3 mean functions with standardized noise.
 * ``bootstrap`` — dispersion pooling, corrected/mixed bootstrap of the
   sample mean, dominance probability, the adaptive resampling decision.
-* ``resampling`` — static, time, rank, strength, and standard-error
-  baseline decision functions behind one interface.
+* ``resampling`` — the strategy types; the time, rank, strength and
+  standard-error decision functions behind one interface.
 * ``optimizers`` — NSGA-II (static resampling one-shot, every other kind
   sequential) and the Rolling Tide EA under a strict evaluation budget.
 * ``metrics`` — true-mean filtering, 2-D hypervolume, IGD.

@@ -8,9 +8,9 @@ that fails to load (an unknown key, parameter, problem or noise kind, a
 value of the wrong type or out of range, a repeated grid entry, a run shape
 NSGA-II refuses) is one line on stderr and exit 2, before anything runs or
 is written; so is any other :class:`EvaluationError` a command raises, among
-them a ``run --rep`` outside the replications or a record made under another
-base seed or other metric parameters. The output root is --out, else the
-config's output_dir; every run's seed derives from the config's base_seed.
+them a ``run --rep`` outside the replications, a ``sweep --jobs`` below 1,
+or a record made under another base seed or metrics. The output root is
+--out, else the config's output_dir; each run's seed derives from base_seed.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, config: ExperimentConfig) -> int:
+    if args.jobs < 1:
+        raise EvaluationError(f"--jobs must be at least 1, got {args.jobs}")
     out = _out_dir(args, config)
     budget = config.selection.prestudy_budget if args.prestudy else None
     started = sweep(config, out, jobs=args.jobs, budget=budget)

@@ -137,6 +137,11 @@ class SelectionParams:  # the ``selection`` config mapping, with its defaults
     n_repeats: int = 100
     prestudy_budget: int = 2000
 
+    def __post_init__(self) -> None:
+        for name in ("n_select", "n_compare", "n_repeats"):
+            if getattr(self, name) < 1:
+                raise EvaluationError(f"selection {name} must be at least 1")
+
 
 @dataclass(frozen=True)
 class StrategyEntry:  # one item of the ``strategies`` config list
@@ -186,8 +191,9 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise EvaluationError("replications must be at least 1")
+        for name, least in (("replications", 1), ("base_seed", 0)):
+            if getattr(self, name) < least:
+                raise EvaluationError(f"{name} must be at least {least}")
         for name in ("problems", "noise", "strategies"):
             if not isinstance(getattr(self, name), list) or not getattr(self, name):
                 raise EvaluationError(f"{name} must be a nonempty list")
@@ -309,15 +315,13 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
         result = nsga2_run(problem, strategy, slice_.popsize, slice_.budget,
                            variation, rng)
     report = score_final_set(result.front, problem, metric_params)
-    log = [[entry.uid, entry.generation, [float(v) for v in entry.sample]]
-           for entry in result.log]
     return RunRecord(
         fingerprint=slice_.fingerprint,
         slice=slice_.as_dict(),
         replication=replication,
         seed=seed,
         spent=result.spent,
-        eval_log=log,
+        eval_log=[[int(u), int(g), s] for u, g, *s in result.log.tolist()],
         final_population=[_point_payload(p) for p in result.population],
         returned_set=[_point_payload(p) for p in result.front],
         metrics=report.as_dict(),
@@ -456,6 +460,13 @@ def _best_config(configs: dict[str, dict[int, float]], reps: list[int]) -> str:
     return min(configs, key=lambda fp: (-mean_hv(fp), fp))
 
 
+def _win_shares(scores: dict[str, float]) -> dict[str, float]:
+    """One win for the family with the top score; a tie shares it equally."""
+    top = max(scores.values())
+    tied = [fam for fam, s in scores.items() if s == top]
+    return {fam: 1.0 / len(tied) for fam in tied}
+
+
 def select_params_split(records: list[RunRecord], n_select: int, n_compare: int,
                         n_repeats: int, rng: np.random.Generator) -> dict:
     """Repeated random split into selection and comparison replications.
@@ -482,10 +493,8 @@ def select_params_split(records: list[RunRecord], n_select: int, n_compare: int,
             for fam, configs in families.items():
                 best = _best_config(configs, sel)
                 scores[fam] = float(np.mean([configs[best][r] for r in cmp_]))
-            top = max(scores.values())
-            tied = [fam for fam, s in scores.items() if s == top]
-            for fam in tied:
-                wins[fam] += 1.0 / len(tied)
+            for fam, share in _win_shares(scores).items():
+                wins[fam] += share
         fractions[setting] = {fam: wins[fam] / n_repeats for fam in sorted(wins)}
     return fractions
 
@@ -522,10 +531,8 @@ def select_params_prestudy(prestudy_records: list[RunRecord],
         reps = sorted(next(iter(family_runs.values())))
         for rep in reps:
             scores = {fam: runs[rep] for fam, runs in family_runs.items()}
-            top = max(scores.values())
-            tied = [fam for fam, s in scores.items() if s == top]
-            for fam in tied:
-                counts[fam][noise_kind] += 1.0 / len(tied)
+            for fam, share in _win_shares(scores).items():
+                counts[fam][noise_kind] += share
             cells_counted += 1
     return {
         "families": list(FAMILIES),

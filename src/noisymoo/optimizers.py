@@ -25,15 +25,6 @@ from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy,
 from .variation import VariationConfig, make_children
 
 
-@dataclass
-class LogEntry:
-    """One raw evaluation: which point, in which generation, what came back."""
-
-    uid: int
-    generation: int
-    sample: np.ndarray
-
-
 class Evaluator:
     """The single gate to the noisy objective function.
 
@@ -49,12 +40,17 @@ class Evaluator:
         self.rng = rng
         self.budget = budget
         self.spent = 0
-        self.log: list[LogEntry] = []
+        self._log = np.empty((budget, 2 + problem.n_objectives))
         self._next_uid = 0
 
     @property
     def remaining(self) -> int:
         return self.budget - self.spent
+
+    @property
+    def log(self) -> np.ndarray:
+        """One row per evaluation so far, in order: uid, generation, sample."""
+        return self._log[: self.spent]
 
     def spawn(self, x: np.ndarray, generation: int) -> EvaluatedPoint | None:
         if self.remaining <= 0:
@@ -65,6 +61,16 @@ class Evaluator:
         self._observe(point, generation)
         return point
 
+    def spawn_random(self, n: int) -> list[EvaluatedPoint]:
+        """Spawn up to ``n`` uniform random points in generation 0; stop at the first refusal."""
+        points: list[EvaluatedPoint] = []
+        for _ in range(n):
+            point = self.spawn(self.problem.random_decision(self.rng), 0)
+            if point is None:
+                break
+            points.append(point)
+        return points
+
     def reevaluate(self, point: EvaluatedPoint, generation: int) -> bool:
         if self.remaining <= 0:
             return False
@@ -72,20 +78,21 @@ class Evaluator:
         return True
 
     def _observe(self, point: EvaluatedPoint, generation: int) -> None:
-        self.spent += 1
         y = evaluate_noisy(self.problem, point.true_mean, self.rng)
         point.add_sample(y)
-        self.log.append(LogEntry(uid=point.uid, generation=generation, sample=y))
+        row = self._log[self.spent]
+        row[0], row[1], row[2:] = point.uid, generation, y
+        self.spent += 1
 
 
 @dataclass
 class RunResult:
     """What an optimizer hands back: final population, its first front
-    under sample means, the full evaluation log, and the spend."""
+    under sample means, the :attr:`Evaluator.log` array, and the spend."""
 
     population: list[EvaluatedPoint]
     front: list[EvaluatedPoint]
-    log: list[LogEntry]
+    log: np.ndarray
     spent: int
 
 
@@ -127,17 +134,12 @@ def environmental_select(points: list[EvaluatedPoint], popsize: int) -> list[Eva
     return [points[i] for i in survivors]
 
 
-def _initialize_arb(ev: Evaluator, strategy: ArbStrategy, popsize: int,
-                    rng: np.random.Generator) -> tuple[list[EvaluatedPoint], DispersionSet]:
+def _initialize_arb(ev: Evaluator, strategy: ArbStrategy,
+                    popsize: int) -> tuple[list[EvaluatedPoint], DispersionSet]:
     # Oversized first generation: everyone evaluated once, the best
     # `seed_size` (NSGA-II criterion) a second time so their residuals seed
     # the dispersion pool, then truncate to the working population size.
-    points: list[EvaluatedPoint] = []
-    for _ in range(strategy.init_popsize):
-        pt = ev.spawn(ev.problem.random_decision(rng), 0)
-        if pt is None:
-            break
-        points.append(pt)
+    points = ev.spawn_random(strategy.init_popsize)
     ranked = nondominated_sort(points)
     order = sorted(range(len(points)), key=lambda i: (ranked.rank[i], -ranked.crowding[i], i))
     dispersion = DispersionSet(capacity=strategy.capacity)
@@ -181,13 +183,9 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
     ev = Evaluator(problem, rng, budget)
     dispersion: DispersionSet | None = None
     if arb:
-        pop, dispersion = _initialize_arb(ev, strategy, popsize, rng)
+        pop, dispersion = _initialize_arb(ev, strategy, popsize)
     else:
-        pop = []
-        for _ in range(popsize):
-            pt = ev.spawn(problem.random_decision(rng), 0)
-            if pt is not None:
-                pop.append(pt)
+        pop = ev.spawn_random(popsize)
         if one_shot:
             for pt in pop:
                 while pt.count < strategy.n and ev.reevaluate(pt, 0):
@@ -287,12 +285,7 @@ def rtea_run(problem: NoisyProblem, cfg: RteaConfig, variation: VariationConfig,
     re-evaluating the front. Returns the front under sample means.
     """
     ev = Evaluator(problem, rng, cfg.m)
-    points: list[EvaluatedPoint] = []
-    for _ in range(cfg.p):
-        pt = ev.spawn(problem.random_decision(rng), 0)
-        if pt is None:
-            break
-        points.append(pt)
+    points = ev.spawn_random(cfg.p)
     ranked = nondominated_sort(points)
     front = ranked.first_front()
     archive = [p for p, r in zip(points, ranked.rank) if r != 1]

@@ -1,12 +1,12 @@
 """Resampling decision functions behind one shared interface.
 
 A decision function answers one question for a single point: is another
-evaluation worth its cost right now? The budget-fraction strategies
-(static, time, rank, strength) grant a point a share ``nu`` of a maximal
-per-point budget and answer True while the point's evaluation count stays
-strictly below ``nu * n_max``. The standard-error strategy instead keeps
-evaluating until the mean estimate is precise enough. The "arb" kind
-delegates to the bootstrap dominance-probability rule.
+evaluation worth its cost right now? The budget-fraction strategies (time,
+rank, strength) grant a point a share ``nu`` of a maximal per-point budget
+and answer True while its count stays strictly below ``nu * n_max``. The
+standard-error strategy resamples until the mean is precise enough; "arb"
+delegates to the bootstrap dominance-probability rule. Static decides
+nothing per point: ``nsga2_run`` gives each new point its ``n`` samples.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class DecisionContext:
     * ``arb`` reads the live means and samples of the point and of the
       front members, but the front's membership is fixed at the start of
       the sweep.
-    * ``static``, ``time`` and ``sederror`` read only the point itself
-      (plus ``n_gen``/``max_gen`` for ``time``).
+    * ``time`` and ``sederror`` read only the point itself (plus
+      ``n_gen``/``max_gen`` for ``time``); ``static`` decides nothing.
     """
 
     point_index: int
@@ -217,11 +217,9 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext) -> bool:
     Budget-fraction kinds answer True while count < nu * n_max (strict);
     the standard-error kind compares against its threshold; the arb kind
     needs the context to carry the current front, the dispersion pool, and
-    a random stream.
+    a random stream. Static, which decides nothing, is refused.
     """
     point = ctx.point
-    if isinstance(strategy, StaticStrategy):
-        return point.count < strategy.n
     if isinstance(strategy, TimeStrategy):
         return point.count < budget_fraction_time(ctx) * strategy.n_max
     if isinstance(strategy, RankStrategy):
@@ -238,7 +236,7 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext) -> bool:
         return bootstrap.arb_decide(point, ctx.front, ctx.dispersion,
                                     strategy, strategy.n_boot, ctx.rng,
                                     weak=strategy.weak_indicator)
-    raise EvaluationError(f"unknown strategy kind {strategy!r}")
+    raise EvaluationError(f"no per-point resampling decision for {strategy!r}")
 
 
 def strategy_from_dict(spec: dict) -> ResamplingStrategy:

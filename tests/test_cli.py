@@ -12,6 +12,9 @@ import pytest
 from noisymoo.cli import main
 
 
+SELECTION = {"n_select": 1, "n_compare": 1, "n_repeats": 5, "prestudy_budget": 250}
+
+
 @pytest.fixture
 def config_path(tmp_path):
     config = {
@@ -29,8 +32,7 @@ def config_path(tmp_path):
         "popsize": 6,
         "replications": 2,
         "base_seed": 11,
-        "selection": {"n_select": 1, "n_compare": 1, "n_repeats": 5,
-                      "prestudy_budget": 250},
+        "selection": SELECTION,
         "output_dir": str(tmp_path / "default_out"),
     }
     path = tmp_path / "config.json"
@@ -59,6 +61,15 @@ def test_run_rejects_bad_rep_index(rep, config_path, tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "replication index out of range (0..1)" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_sweep_rejects_jobs_below_one(jobs, config_path, tmp_path, capsys):
+    assert main(["sweep", "--config", str(config_path), "--jobs", jobs,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"--jobs must be at least 1, got {jobs}" in err[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
@@ -170,6 +181,11 @@ BAD_CONFIGS = {
                                           {"kind": "arb", "grid": {"alpha_l": [0.2]}}]},
                           "strategies arb() and arb(alpha_l=0.2) are the same strategy"),
     "popsize_odd": ({"popsize": 7}, "popsize"),
+    "base_seed_negative": ({"base_seed": -1}, "base_seed"),
+    "n_select_zero": ({"selection": {**SELECTION, "n_select": 0}}, "n_select"),
+    "n_select_negative": ({"selection": {**SELECTION, "n_select": -1}}, "n_select"),
+    "n_compare_zero": ({"selection": {**SELECTION, "n_compare": 0}}, "n_compare"),
+    "n_repeats_zero": ({"selection": {**SELECTION, "n_repeats": 0}}, "n_repeats"),
     "arb_budget_below_init": ({"budget": 60, "selection": {"prestudy_budget": 60},
                                "strategies": [{"kind": "arb"}]},
                               "budget 60 below initialization cost 220"),

@@ -133,8 +133,8 @@ class TestNsga2:
             assert len(res.log) == 300
             assert len(res.population) == 10
         a, b = runs
-        assert [e.uid for e in a.log] == [e.uid for e in b.log]
-        assert all(np.array_equal(x.sample, y.sample) for x, y in zip(a.log, b.log))
+        assert np.array_equal(a.log[:, 0], b.log[:, 0])  # uids
+        assert np.array_equal(a.log[:, 2:], b.log[:, 2:])  # samples
         assert all(np.array_equal(x.decision, y.decision)
                    for x, y in zip(a.population, b.population))
 
@@ -172,6 +172,19 @@ class TestNsga2:
             nsga2_run(problem, ArbStrategy(), 40, 200, VAR,
                       np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_static_tops_each_point_up_one_shot(self, n):
+        # Budget 101 runs out inside the last offspring's top-up for n = 2 and 3.
+        problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
+        res = nsga2_run(problem, StaticStrategy(n=n), 10, 101, VAR,
+                        np.random.default_rng(6))
+        uids = res.log[:, 0].astype(int)
+        counts = np.bincount(uids)
+        assert (counts[:-1] == n).all() and 0 < counts[-1] < n
+        for uid in range(10, len(counts)):  # the offspring
+            rows = np.flatnonzero(uids == uid)
+            assert (np.diff(rows) == 1).all()
+
     def test_front_members_are_mutually_nondominated(self):
         problem = make_problem("uf3", noise=NoiseLaw(kind="gaussian", sigma=0.1))
         res = nsga2_run(problem, StaticStrategy(n=1), 10, 300, VAR,
@@ -195,7 +208,7 @@ class TestRtea:
         problem = make_problem("uf2", noise=NoiseLaw(kind="chisq", df=1, sigma=1.0))
         a = rtea_run(problem, RteaConfig(m=500), VAR, np.random.default_rng(3))
         b = rtea_run(problem, RteaConfig(m=500), VAR, np.random.default_rng(3))
-        assert all(np.array_equal(x.sample, y.sample) for x, y in zip(a.log, b.log))
+        assert np.array_equal(a.log[:, 2:], b.log[:, 2:])  # samples
 
     def test_zero_noise_run_reaches_sane_hypervolume(self):
         # Loose bound from reference runs at this budget; the front-only
@@ -261,6 +274,18 @@ class TestEvaluator:
         assert point.uid == 0
         assert ev.spent == len(ev.log) == 1
 
+    def test_spawn_random_draws_then_spawns_until_refused(self):
+        problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
+        ev = Evaluator(problem, np.random.default_rng(3), budget=4)
+        points = ev.spawn_random(6)
+        assert [p.uid for p in points] == [0, 1, 2, 3] and ev.spent == 4
+        assert ev.spawn_random(2) == [] and ev.spent == len(ev.log) == 4
+        rng = np.random.default_rng(3)
+        twin = Evaluator(problem, rng, budget=4)
+        for _ in range(4):
+            twin.spawn(problem.random_decision(rng), 0)
+        assert np.array_equal(ev.log, twin.log)
+
     def test_spawn_keeps_true_mean_for_every_sample(self):
         problem = make_problem("uf2")  # no noise: every sample is the true mean
         rng = np.random.default_rng(1)
@@ -286,7 +311,7 @@ class TestEvaluator:
             res = nsga2_run(problem, StaticStrategy(n=3), 10, 300, VAR, rng)
         else:
             res = rtea_run(problem, RteaConfig(m=300, p=10), VAR, rng)
-        n_points = len({e.uid for e in res.log})
+        n_points = len(set(res.log[:, 0]))
         assert len(res.log) == 300 > n_points == len(calls)
 
     @given(st.integers(0, 2 ** 31 - 1))

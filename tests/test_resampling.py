@@ -111,9 +111,11 @@ class TestStandardError:
 
 
 class TestDecide:
-    def test_static_one_stops_after_first(self):
+    def test_static_has_no_decision(self):
+        # nsga2_run gives a static point its n samples one-shot and never asks.
         pop = ranked([(0, 1), (1, 0)])
-        assert should_resample(StaticStrategy(n=1), ctx_for(pop)) is False
+        with pytest.raises(EvaluationError, match="no per-point resampling decision"):
+            should_resample(StaticStrategy(n=1), ctx_for(pop))
 
     def test_time_based_keeps_going_under_cap(self):
         pop = ranked([(0, 1), (1, 0)], counts=[9, 1])
@@ -145,8 +147,8 @@ class TestDecide:
         assert isinstance(s, SeErrorStrategy)
         assert s.threshold == 0.01
 
-    @pytest.mark.parametrize("strategy", [StaticStrategy(n=7), TimeStrategy(n_max=7),
-                                          RankStrategy(n_max=7), StrengthStrategy(n_max=7)])
+    @pytest.mark.parametrize("strategy", [TimeStrategy(n_max=7), RankStrategy(n_max=7),
+                                          StrengthStrategy(n_max=7)])
     def test_monotone_in_count_and_capped(self, strategy):
         # Once the decision turns False at some count it stays False, and no
         # budget-fraction strategy lets a point pass n_max evaluations.
@@ -179,6 +181,6 @@ class TestDecide:
         # Each strategy refuses a second evaluation when n_max is 1.
         pop = ranked([(0, 0), (1, 1)], counts=[1, 1])
         ctx = ctx_for(pop, index=0, n_gen=10, max_gen=10)
-        for strategy in (StaticStrategy(n=1), TimeStrategy(n_max=1),
-                         RankStrategy(n_max=1), StrengthStrategy(n_max=1)):
+        for strategy in (TimeStrategy(n_max=1), RankStrategy(n_max=1),
+                         StrengthStrategy(n_max=1)):
             assert should_resample(strategy, ctx) is False

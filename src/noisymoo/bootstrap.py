@@ -144,7 +144,7 @@ def bootstrap_means_stacked(points: list[EvaluatedPoint], dispersion: Dispersion
         # For T >= 2 objectives, summing the (n - 1, B, T) gather over its
         # first axis adds the same terms in the same order as summing the
         # (B, n - 1, T) gather over its middle axis, so the replicates are
-        # bit-identical.
+        # bit-identical; an ``np.add.reduceat`` sum reorders the terms and is not.
         own = residuals.take(idx.T, axis=0).sum(axis=0)
         out[i] = point.mean + (pooled + own) / n
     return out

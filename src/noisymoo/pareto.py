@@ -1,14 +1,15 @@
 """Objective-space vocabulary: one dominance kernel, non-dominated sorting,
 crowding distance, Pareto ranks.
 
-All comparisons are under minimization, and every dominance question goes
-through :func:`weak_dominance`. Optimizers compare points by their sample
-means, never by individual noisy samples; every function here is a pure
-function of its inputs.
+All comparisons are under minimization. Every dominance matrix comes from
+:func:`weak_dominance`; two-objective ranks come from ordered ``(f2, f1)``
+keys. Optimizers compare points by their sample means, never by individual
+noisy samples; every function here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -68,18 +69,28 @@ def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
 
 
 def front_ranks(objectives: np.ndarray) -> np.ndarray:
-    """Assign 1-based Pareto ranks by iterative non-dominated peeling.
-
-    Rank 1 is the mutually non-dominated subset; rank k members are
-    non-dominated once ranks < k are removed. O(n^2 * T).
+    """1-based Pareto ranks: rank k members are non-dominated once ranks < k
+    are removed. Two objectives take Jensen's (2003) O(n log n) pass: in
+    lexicographic order, a point joins the first front whose last member,
+    kept as an ``(f2, f1)`` key in an ascending list, does not dominate it,
+    i.e. whose key is not smaller (a duplicate's is equal): that is
+    ``bisect_left``. Other objective counts peel fronts, O(n^2 * T).
     """
     objs = np.asarray(objectives, dtype=float)
     n = objs.shape[0]
     if n == 0:
         raise EvaluationError("cannot rank an empty set")
+    ranks = np.zeros(n, dtype=np.int64)
+    if objs.shape[1] == 2:
+        keys = objs[:, ::-1].tolist()  # [f2, f1], compared lexicographically
+        tails: list[list[float]] = []
+        for i in np.lexsort((objs[:, 1], objs[:, 0])).tolist():
+            k = bisect_left(tails, keys[i])
+            tails[k:k + 1] = [keys[i]]  # replace that tail, or open a front
+            ranks[i] = k + 1
+        return ranks
     dom = dominance_matrix(objs)
     n_dominators = dom.sum(axis=0)
-    ranks = np.zeros(n, dtype=np.int64)
     remaining = np.arange(n)
     rank = 1
     while remaining.size:
@@ -92,28 +103,35 @@ def front_ranks(objectives: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def crowding_distance(front: np.ndarray) -> np.ndarray:
-    """NSGA-II cuboid crowding distance for the members of one front.
-
-    Boundary points of each objective get infinite distance; interior points
-    accumulate the normalized gap between their two neighbours, summed over
-    objectives. An objective with zero range contributes nothing. Ties in
-    the per-objective ordering are broken by input index (stable sort), so
-    interior values are invariant under permutation of the input.
+def crowding_distance(objectives: np.ndarray, ranks: np.ndarray | None = None) -> np.ndarray:
+    """NSGA-II cuboid crowding distance of each point within its front, the
+    points of equal ``ranks`` (all points without ``ranks``): one pass per
+    objective covers every front. Boundary points of each objective get
+    infinite distance; interior points accumulate the normalized gap between
+    their two neighbours, summed over objectives. A zero-range objective
+    adds nothing to a front. Ties in the per-objective ordering are broken
+    by input index (stable sort), so interior values are invariant under
+    permutation of the input.
     """
-    objs = np.atleast_2d(np.asarray(front, dtype=float))
+    objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     n, n_obj = objs.shape
     if n == 0:
         raise EvaluationError("crowding distance of an empty front")
+    ranks = np.zeros(n, dtype=np.int64) if ranks is None else np.asarray(ranks)
+    r = np.sort(ranks)  # fronts' positions in every (rank, value) order
+    edge = np.concatenate(([True], r[1:] != r[:-1], [True]))  # edge[j]: a front ends before j
+    first, last = np.flatnonzero(edge[:-1]), np.flatnonzero(edge[1:])
+    inner = np.flatnonzero(~(edge[:-1] | edge[1:]))
+    front_of = np.cumsum(edge[:-1])[inner] - 1
     dist = np.zeros(n)
     for t in range(n_obj):
-        order = np.argsort(objs[:, t], kind="stable")
-        span = objs[order[-1], t] - objs[order[0], t]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        if span > 0:
-            gaps = objs[order[2:], t] - objs[order[:-2], t]
-            dist[order[1:-1]] += gaps / span
+        order = np.lexsort((objs[:, t], ranks))
+        values = objs[order, t]
+        span = (values[last] - values[first])[front_of]
+        dist[order[first]] = dist[order[last]] = np.inf
+        wide = span > 0
+        at = inner[wide]
+        dist[order[at]] += (values[at + 1] - values[at - 1]) / span[wide]
     return dist
 
 
@@ -193,17 +211,14 @@ class RankedPopulation:
 
 
 def nondominated_sort(points: list[EvaluatedPoint]) -> RankedPopulation:
-    """Rank a population by non-dominated peeling on the sample means.
-
-    Crowding is computed per front. Equal-rank members keep their input
-    order, so the result is stable with respect to the input.
+    """Rank a population on its sample means with :func:`front_ranks`, and
+    crowd all its fronts in one :func:`crowding_distance` call. Equal-rank
+    members keep their input order, so the result is stable with respect to
+    the input.
     """
     if not points:
         raise EvaluationError("cannot sort an empty population")
     means = np.array([p.mean for p in points])
     ranks = front_ranks(means)
-    crowding = np.zeros(len(points))
-    for r in np.unique(ranks):
-        idx = np.flatnonzero(ranks == r)
-        crowding[idx] = crowding_distance(means[idx])
-    return RankedPopulation(members=list(points), rank=ranks, crowding=crowding)
+    return RankedPopulation(members=list(points), rank=ranks,
+                            crowding=crowding_distance(means, ranks))

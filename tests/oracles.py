@@ -109,8 +109,25 @@ def brute_nondominated(objs: np.ndarray) -> list[int]:
     return keep
 
 
-def brute_environmental_select(objs: np.ndarray, popsize: int,
-                               crowding_fn) -> list[int]:
+def brute_crowding_distance(objs: np.ndarray) -> np.ndarray:
+    """NSGA-II crowding of one front. Per objective: order the members by
+    (value, index); the two ends get inf, and if the span is positive each
+    interior member adds (next value - previous value) / span."""
+    n = len(objs)
+    dist = [0.0] * n
+    for t in range(len(objs[0])):
+        order = sorted(range(n), key=lambda i: (objs[i][t], i))
+        span = objs[order[-1]][t] - objs[order[0]][t]
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        if span > 0:
+            for k in range(1, n - 1):
+                gap = objs[order[k + 1]][t] - objs[order[k - 1]][t]
+                dist[order[k]] = dist[order[k]] + gap / span
+    return np.array(dist, dtype=float)
+
+
+def brute_environmental_select(objs: np.ndarray, popsize: int) -> list[int]:
     """Reference survivor selection: whole fronts by rank, the boundary
     front by descending crowding with input-index ties."""
     ranks = brute_front_ranks(objs)
@@ -122,7 +139,7 @@ def brute_environmental_select(objs: np.ndarray, popsize: int,
             if len(chosen) == popsize:
                 break
         else:
-            crowd = crowding_fn(objs[front])
+            crowd = brute_crowding_distance(objs[front])
             order = sorted(range(len(front)), key=lambda k: (-crowd[k], front[k]))
             chosen.extend(front[k] for k in order[: popsize - len(chosen)])
             break

@@ -16,7 +16,7 @@ from noisymoo.harness import (ExperimentConfig, load_records, report, run_single
                               select_params_prestudy, select_params_split, sweep)
 from noisymoo.metrics import hypervolume, true_nondominated_filter
 from noisymoo.optimizers import environmental_select
-from noisymoo.pareto import (EvaluatedPoint, crowding_distance, nondominated_sort)
+from noisymoo.pareto import EvaluatedPoint, nondominated_sort
 from noisymoo.problems import NoiseLaw, NoisyProblem
 
 from .oracles import (brute_dominance_probability, brute_environmental_select,
@@ -52,7 +52,7 @@ def test_criterion_1_oracle_equivalence():
 
         popsize = max(1, n // 2)
         survivors = environmental_select(points, popsize)
-        expected = brute_environmental_select(objs, popsize, crowding_distance)
+        expected = brute_environmental_select(objs, popsize)
         assert [s.uid for s in survivors] == expected
 
         problem = NoisyProblem(name="synthetic", dim=t, lower=np.zeros(t),

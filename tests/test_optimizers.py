@@ -10,7 +10,7 @@ from noisymoo.optimizers import (Evaluator, RteaConfig, _reseat, environmental_s
                                  nsga2_run, rtea_run, tournament_select,
                                  tournament_winner)
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
-                             crowding_distance, nondominated_sort)
+                             nondominated_sort)
 from noisymoo.problems import NoiseLaw, make_problem
 from noisymoo.resampling import ArbStrategy, SeErrorStrategy, StaticStrategy
 from noisymoo.variation import VariationConfig, make_children, polynomial_mutate, sbx_pair
@@ -104,7 +104,7 @@ class TestEnvironmentalSelect:
         for _ in range(50):
             objs = rng.uniform(0, 1, size=(12, 2))
             survivors = environmental_select(pts([tuple(o) for o in objs]), 8)
-            expected = brute_environmental_select(objs, 8, crowding_distance)
+            expected = brute_environmental_select(objs, 8)
             assert [s.uid for s in survivors] == expected
 
     def test_elitism_first_front_survives_when_it_fits(self):

@@ -8,7 +8,8 @@ from noisymoo.pareto import (EvaluatedPoint, EvaluationError, crowding_distance,
                              dominance_matrix, front_ranks, nondominated_sort,
                              weak_dominance)
 
-from .oracles import brute_dominance_matrix, brute_front_ranks, brute_weak_dominance
+from .oracles import (brute_crowding_distance, brute_dominance_matrix, brute_front_ranks,
+                      brute_weak_dominance)
 
 vec = lambda *v: np.array(v, dtype=float)
 
@@ -24,6 +25,14 @@ def dominates(a, b):
 def _points(objs):
     return [EvaluatedPoint(decision=np.zeros(2), samples=[np.asarray(o, float)])
             for o in objs]
+
+
+def _brute_crowding_per_front(objs, ranks):
+    out = np.zeros(len(objs))
+    for r in set(ranks.tolist()):
+        idx = np.flatnonzero(ranks == r)
+        out[idx] = brute_crowding_distance(objs[idx])
+    return out
 
 
 finite_objs = hnp.arrays(
@@ -116,6 +125,49 @@ class TestSorting:
     def test_matches_bruteforce_property(self, objs):
         pop = nondominated_sort(_points(objs))
         assert np.array_equal(pop.rank, brute_front_ranks(objs))
+        assert pop.crowding.tobytes() == _brute_crowding_per_front(objs, pop.rank).tobytes()
+
+    @pytest.mark.parametrize("objs, ranks", [
+        ([(0, 1), (1, 1)], [1, 2]),  # equal f2, smaller f1 dominates
+        ([(1, 1), (0, 1)], [2, 1]),
+        ([(1, 0), (1, 1)], [1, 2]),  # equal f1, smaller f2 dominates
+        ([(1, 1), (1, 0)], [2, 1]),
+        ([(0, 0), (1, 1), (2, 2), (1, 1)], [1, 2, 3, 2]),  # a duplicate keeps its rank
+        ([(0.0, 1), (-0.0, 1), (1, -0.0), (1, 0.0)], [1, 1, 1, 1]),  # signed zeros tie
+        ([(-0.0, 2), (0.0, 1)], [2, 1]),
+        ([(3, 4)], [1]),
+    ])
+    def test_two_objective_edge_cases(self, objs, ranks):
+        objs = np.array(objs, dtype=float)
+        assert front_ranks(objs).tolist() == ranks
+        assert np.array_equal(front_ranks(objs), brute_front_ranks(objs))
+
+    def test_two_objective_ranks_match_bruteforce_with_duplicates(self):
+        # Half-step grids with random signs make ties, signed zeros and
+        # exact duplicates (appended copies of existing rows) common.
+        rng = np.random.default_rng(2003)
+        for _ in range(3000):
+            n = int(rng.integers(1, 11))
+            objs = rng.integers(0, 4, size=(n, 2)) * 0.5
+            objs = np.where(rng.random((n, 2)) < 0.3, -objs, objs)
+            objs = np.vstack([objs, objs[rng.integers(0, n, size=int(rng.integers(0, 4)))]])
+            assert np.array_equal(front_ranks(objs), brute_front_ranks(objs))
+
+    @pytest.mark.parametrize("n_obj", [2, 3])
+    def test_crowding_of_every_front_matches_bruteforce(self, n_obj):
+        # Small integer grids give several fronts, single-member fronts and
+        # duplicates; one objective is constant in every other set.
+        rng = np.random.default_rng(20 + n_obj)
+        for case in range(300):
+            n = int(rng.integers(1, 30))
+            objs = rng.integers(0, 5, size=(n, n_obj)).astype(float)
+            objs = np.vstack([objs, objs[rng.integers(0, n, size=int(rng.integers(0, 4)))]])
+            if case % 2:
+                objs[:, case % n_obj] = 1.5
+            pop = nondominated_sort(_points(objs))
+            assert np.array_equal(pop.rank, brute_front_ranks(objs))
+            want = _brute_crowding_per_front(objs, pop.rank)
+            assert pop.crowding.tobytes() == want.tobytes()
 
     def test_rank_one_closed_under_true_mean_filter(self):
         # With zero noise the sample means are the true means, so the

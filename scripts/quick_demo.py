@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Five-minute tour: one noisy problem, five runs, a little table of
-normalized hypervolumes. The static strategies run NSGA-II one-shot, rank
-and arb run it sequentially, and Rolling Tide is an EA of its own.
+normalized hypervolumes. Each strategy names its loop: the static ones run
+NSGA-II one-shot, rank and arb run it sequentially, and the RTEA strategy
+runs the Rolling Tide EA.
 
 Usage: python scripts/quick_demo.py [--budget N] [--sigma S] [--seed K]
 """
@@ -11,9 +12,9 @@ import argparse
 import numpy as np
 
 from noisymoo.metrics import score_final_set
-from noisymoo.optimizers import RteaConfig, nsga2_run, rtea_run
+from noisymoo.optimizers import nsga2_run, rtea_run
 from noisymoo.problems import NoiseLaw, make_problem
-from noisymoo.resampling import ArbStrategy, RankStrategy, StaticStrategy
+from noisymoo.resampling import ArbStrategy, RankStrategy, RteaStrategy, StaticStrategy
 from noisymoo.variation import VariationConfig
 
 
@@ -45,7 +46,7 @@ def main() -> None:
             lambda rng: nsga2_run(problem, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
                                   40, args.budget, variation, rng),
         "rolling tide":
-            lambda rng: rtea_run(problem, RteaConfig(m=args.budget), variation, rng),
+            lambda rng: rtea_run(problem, RteaStrategy(), args.budget, variation, rng),
     }
 
     print(f"{args.problem} with {args.noise} noise (sigma={args.sigma}), "

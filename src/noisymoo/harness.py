@@ -27,44 +27,18 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
-
 import numpy as np
 
 from .metrics import MetricParams, _nadir, score_final_set
-from .optimizers import RteaConfig, RunResult, check_run_shape, nsga2_run, rtea_run
+from .optimizers import check_run_shape, nsga2_run, rtea_run
 from .pareto import EvaluationError, from_mapping
 from .problems import NoiseLaw, make_problem, sample_true_pf
-from .resampling import ResamplingStrategy, strategy_from_dict
+from .resampling import ResamplingStrategy, strategy_from_dict, strategy_type
 from .variation import VariationConfig
 
 SCHEMA_VERSION = 1
 FAMILIES = ("arb", "dynamic", "static", "rtea")
 NOISE_KIND_ORDER = ("chisq", "gaussian", "none")
-
-
-class _Kind(NamedTuple):  # what a strategy kind runs; its loop is a slice's mode
-    family: str
-    optimizer: str
-    loop: str
-
-
-_KINDS = {
-    "static": _Kind("static", "nsga2", "one_shot"),
-    "time": _Kind("dynamic", "nsga2", "sequential"),
-    "rank": _Kind("dynamic", "nsga2", "sequential"),
-    "strength": _Kind("dynamic", "nsga2", "sequential"),
-    "sederror": _Kind("dynamic", "nsga2", "sequential"),
-    "arb": _Kind("arb", "nsga2", "sequential"),
-    "rtea": _Kind("rtea", "rtea", "rtea"),
-}
-
-
-def _kind(kind: str) -> _Kind:
-    try:
-        return _KINDS[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise EvaluationError(f"unknown strategy kind {kind!r}") from None
 
 
 def _canonical(obj) -> str:
@@ -78,7 +52,7 @@ class RunSlice:
     problem: str
     dim: int
     noise: dict
-    strategy: dict  # includes "kind"; rtea configs carry k, p, z
+    strategy: dict  # includes "kind"
     mode: str       # the kind's loop: "one_shot" | "sequential" | "rtea"
     popsize: int
     budget: int
@@ -108,13 +82,9 @@ class RunSlice:
 
     @property
     def family(self) -> str:
-        return _kind(self.strategy["kind"]).family
+        return strategy_type(self.strategy["kind"]).family
 
-    def make_strategy(self) -> ResamplingStrategy | RteaConfig:
-        """The strategy object a run uses; rtea gets its budget as ``m``."""
-        if self.strategy["kind"] == "rtea":
-            params = {k: v for k, v in self.strategy.items() if k != "kind"}
-            return from_mapping(RteaConfig, params, "rtea parameter", m=self.budget)
+    def make_strategy(self) -> ResamplingStrategy:
         return strategy_from_dict(self.strategy)
 
     @property
@@ -219,8 +189,7 @@ class ExperimentConfig:
             built = {}
             for slice_ in self.slices(budget):
                 strategy = slice_.make_strategy()
-                if not isinstance(strategy, RteaConfig):
-                    check_run_shape(strategy, self.popsize, budget)
+                check_run_shape(strategy, self.popsize, budget)
                 twin = built.setdefault((slice_.setting_key(), strategy), slice_)
                 if twin is not slice_:
                     raise EvaluationError(f"strategies {twin.strategy_label} and "
@@ -256,7 +225,7 @@ class ExperimentConfig:
         """Expand the grids into the full deterministic slice list."""
         budget = self.budget if budget is None else budget
         return [RunSlice(problem=problem, dim=self.dim, noise=noise, strategy=strategy,
-                         mode=_kind(entry.kind).loop, popsize=self.popsize, budget=budget)
+                         mode=strategy_type(entry.kind).loop, popsize=self.popsize, budget=budget)
                 for problem, noise, entry in itertools.product(self.problems, self.noise,
                                                                self.strategies)
                 for strategy in entry.combinations()]
@@ -303,14 +272,14 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
                variation: VariationConfig = VariationConfig()) -> RunRecord:
     """Execute one slice deterministically and score its returned set; refuse
     a slice whose ``mode`` is not its kind's loop."""
-    kind, loop = slice_.strategy["kind"], _kind(slice_.strategy["kind"]).loop
-    if slice_.mode != loop:
-        raise EvaluationError(f"{kind} runs the {loop} loop, not mode {slice_.mode!r}")
+    strategy = slice_.make_strategy()
+    if slice_.mode != strategy.loop:
+        raise EvaluationError(f"{strategy.kind} runs the {strategy.loop} loop, "
+                              f"not mode {slice_.mode!r}")
     rng = np.random.default_rng(seed)
     problem = make_problem(slice_.problem, dim=slice_.dim, noise=NoiseLaw(**slice_.noise))
-    strategy = slice_.make_strategy()
-    if isinstance(strategy, RteaConfig):
-        result: RunResult = rtea_run(problem, strategy, variation, rng)
+    if strategy.loop == "rtea":
+        result = rtea_run(problem, strategy, slice_.budget, variation, rng)
     else:
         result = nsga2_run(problem, strategy, slice_.popsize, slice_.budget,
                            variation, rng)
@@ -575,7 +544,8 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
     decorated = sorted(((RunSlice.from_dict(r.slice), r) for r in records),
                        key=lambda pair: (pair[0].setting_key(), pair[0].family,
                                          pair[0].strategy_label, pair[1].replication))
-    per_run_rows = [[r.fingerprint, *s.setting_key(), _kind(s.strategy["kind"]).optimizer,
+    per_run_rows = [[r.fingerprint, *s.setting_key(),
+                     "rtea" if strategy_type(s.strategy["kind"]).loop == "rtea" else "nsga2",
                      s.mode, s.family, s.strategy_label, r.replication, r.seed, s.budget,
                      s.popsize, r.spent, r.metrics["n_returned"], r.metrics["n_filtered"],
                      float(r.metrics["hv_raw"]), float(r.metrics["hv_normalized"]),

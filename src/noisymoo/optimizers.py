@@ -1,6 +1,6 @@
-"""NSGA-II with pluggable resampling (one-shot for a static strategy,
-sequential for every other kind) and the Rolling Tide baseline, all under a
-strict shared evaluation budget.
+"""The two loops a strategy names: NSGA-II with pluggable resampling
+(one-shot for static, sequential for every other NSGA-II kind) and the
+Rolling Tide EA for RTEA, both under a strict shared evaluation budget.
 
 Every objective-function call goes through one :class:`Evaluator`, which
 counts the evaluations spent against the budget and keeps the evaluation
@@ -20,8 +20,8 @@ from .bootstrap import DispersionSet, push_newest_residual
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                      nondominated_sort, weak_dominance)
 from .problems import NoisyProblem, evaluate_noisy, true_mean
-from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy,
-                         StaticStrategy, should_resample)
+from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy, RteaStrategy,
+                         should_resample)
 from .variation import VariationConfig, make_children
 
 
@@ -120,18 +120,15 @@ def environmental_select(points: list[EvaluatedPoint], popsize: int) -> list[Eva
     if len(points) < popsize:
         raise EvaluationError(f"cannot select {popsize} from {len(points)} points")
     ranked = nondominated_sort(points)
-    survivors: list[int] = []
-    for r in range(1, int(ranked.rank.max()) + 1):
-        idx = [i for i in range(len(points)) if ranked.rank[i] == r]
-        if len(survivors) + len(idx) <= popsize:
-            survivors.extend(idx)
-            if len(survivors) == popsize:
-                break
-        else:
-            idx.sort(key=lambda i: (-ranked.crowding[i], i))
-            survivors.extend(idx[: popsize - len(survivors)])
-            break
-    return [points[i] for i in survivors]
+    order = np.argsort(ranked.rank, kind="stable")  # by rank, then input index
+    keep = order[:popsize]
+    if 0 < popsize < len(points) and ranked.rank[order[popsize]] == ranked.rank[keep[-1]]:
+        boundary = ranked.rank[keep[-1]]
+        whole = keep[ranked.rank[keep] < boundary]
+        split = order[ranked.rank[order] == boundary]
+        split = split[np.argsort(-ranked.crowding[split], kind="stable")]
+        keep = np.concatenate((whole, split[: popsize - len(whole)]))
+    return [points[i] for i in keep]
 
 
 def _initialize_arb(ev: Evaluator, strategy: ArbStrategy,
@@ -141,7 +138,7 @@ def _initialize_arb(ev: Evaluator, strategy: ArbStrategy,
     # the dispersion pool, then truncate to the working population size.
     points = ev.spawn_random(strategy.init_popsize)
     ranked = nondominated_sort(points)
-    order = sorted(range(len(points)), key=lambda i: (ranked.rank[i], -ranked.crowding[i], i))
+    order = np.lexsort((-ranked.crowding, ranked.rank))  # ties by index
     dispersion = DispersionSet(capacity=strategy.capacity)
     for i in order[: strategy.seed_size]:
         if not ev.reevaluate(points[i], 0):
@@ -150,9 +147,14 @@ def _initialize_arb(ev: Evaluator, strategy: ArbStrategy,
     return environmental_select(points, popsize), dispersion
 
 
-def check_run_shape(strategy: ResamplingStrategy, popsize: int, budget: int) -> None:
-    """Raise :class:`EvaluationError` for a popsize, budget or arb
-    ``init_popsize`` that :func:`nsga2_run` cannot run."""
+def check_run_shape(strategy: ResamplingStrategy, popsize: int | None, budget: int) -> None:
+    """Raise :class:`EvaluationError` for a run the strategy's loop cannot
+    run: an RTEA ``p`` above the budget (RTEA takes no ``popsize``), or a
+    popsize, budget or arb ``init_popsize`` that :func:`nsga2_run` cannot run."""
+    if strategy.loop == "rtea":
+        if strategy.p > budget:
+            raise EvaluationError(f"rtea initial sample p={strategy.p} exceeds the budget {budget}")
+        return
     if popsize < 2 or popsize % 2:
         raise EvaluationError(f"popsize must be even and at least 2, got {popsize}")
     arb = isinstance(strategy, ArbStrategy)
@@ -168,17 +170,17 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
               rng: np.random.Generator) -> RunResult:
     """NSGA-II under a resampling strategy, spending the budget exactly.
 
-    A static strategy runs one-shot: each new point is topped up to ``n``
-    samples right after its spawn (the initial population once all its
-    members exist) and never returned to. Every other kind evaluates each
-    offspring once and then sweeps the whole combined population every
-    generation, granting one extra evaluation per point and sweep while
-    the decision function approves. The planning horizon for time-based
-    decisions is budget // popsize generations.
+    A strategy whose ``loop`` is ``one_shot`` (static) tops each new point
+    up to ``n`` samples right after its spawn (the initial population once
+    all its members exist) and never returns to it. Every other kind
+    evaluates each offspring once and then sweeps the whole combined
+    population every generation, granting one extra evaluation per point and
+    sweep while the decision function approves. The planning horizon for
+    time-based decisions is budget // popsize generations.
     """
     check_run_shape(strategy, popsize, budget)
     arb = isinstance(strategy, ArbStrategy)
-    one_shot = isinstance(strategy, StaticStrategy)
+    one_shot = strategy.loop == "one_shot"
 
     ev = Evaluator(problem, rng, budget)
     dispersion: DispersionSet | None = None
@@ -227,29 +229,6 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
     return RunResult(population=pop, front=final.first_front(), log=ev.log, spent=ev.spent)
 
 
-@dataclass(frozen=True)
-class RteaConfig:
-    """Rolling Tide parameters: total budget m, resamples per iteration k,
-    initial sample size p, refinement fraction z."""
-
-    m: int
-    k: int = 1
-    p: int = 40
-    z: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.p > self.m:
-            raise EvaluationError("initial sample size exceeds the budget")
-        if not 0.0 <= self.z < 1.0:
-            raise EvaluationError("refinement fraction must lie in [0, 1)")
-        if self.k < 1:
-            raise EvaluationError("k must be at least 1")
-
-    @property
-    def refinement_evals(self) -> int:
-        return int(round(self.z * self.m))
-
-
 def _reseat(front: list[EvaluatedPoint], archive: list[EvaluatedPoint],
             point: EvaluatedPoint) -> None:
     """Place ``point`` (new, or a member whose mean moved) so ``front`` stays
@@ -274,24 +253,25 @@ def _fewest_evaluated(front: list[EvaluatedPoint], rng: np.random.Generator) -> 
     return front[int(candidates[rng.integers(0, candidates.size)])]
 
 
-def rtea_run(problem: NoisyProblem, cfg: RteaConfig, variation: VariationConfig,
-             rng: np.random.Generator) -> RunResult:
+def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
+             variation: VariationConfig, rng: np.random.Generator) -> RunResult:
     """Rolling Tide EA: strong elitism with continual front re-evaluation.
 
     Initialization samples ``p`` points once. The optimization phase then
     alternates one offspring (bred from two uniformly chosen front members)
     with ``k`` re-evaluations of the least-sampled front members until only
-    the refinement share of the budget is left; refinement spends the rest
-    re-evaluating the front. Returns the front under sample means.
+    the refinement share ``z`` of the budget is left; refinement spends the
+    rest re-evaluating the front. Returns the front under sample means.
     """
-    ev = Evaluator(problem, rng, cfg.m)
-    points = ev.spawn_random(cfg.p)
+    check_run_shape(strategy, None, budget)
+    ev = Evaluator(problem, rng, budget)
+    points = ev.spawn_random(strategy.p)
     ranked = nondominated_sort(points)
     front = ranked.first_front()
     archive = [p for p, r in zip(points, ranked.rank) if r != 1]
 
     iteration = 0
-    refine = cfg.refinement_evals
+    refine = int(round(strategy.z * budget))
     while ev.remaining > refine:
         iteration += 1
         a, b = rng.integers(0, len(front), size=2)
@@ -301,7 +281,7 @@ def rtea_run(problem: NoisyProblem, cfg: RteaConfig, variation: VariationConfig,
         if child is None:
             break
         _reseat(front, archive, child)
-        for _ in range(cfg.k):
+        for _ in range(strategy.k):
             if ev.remaining <= refine:
                 break
             target = _fewest_evaluated(front, rng)

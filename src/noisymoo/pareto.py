@@ -19,16 +19,16 @@ class EvaluationError(ValueError):
     """Raised when an operation is called on inconsistent or empty inputs."""
 
 
-def from_mapping(cls, raw: dict, what: str, **fixed):
-    """``cls(**raw, **fixed)`` for a dataclass ``cls``. Raises
+def from_mapping(cls, raw: dict, what: str):
+    """``cls(**raw)`` for a dataclass ``cls``. Raises
     :class:`EvaluationError` if the config mapping ``raw`` is not a mapping,
-    naming every key that is not another init field of ``cls``, every
+    naming every key that is not an init field of ``cls``, every
     required field it lacks, and the first value whose type is not that of
     its field's ``bool``, ``int``, ``float`` or ``str`` default (a ``float``
     field also takes an ``int``; a ``bool`` is no ``int``)."""
     if not isinstance(raw, dict):
         raise EvaluationError(f"expected a mapping of {what}s, got {type(raw).__name__}")
-    init = [f for f in fields(cls) if f.init and f.name not in fixed]
+    init = [f for f in fields(cls) if f.init]
     unknown = sorted(set(raw) - {f.name for f in init})
     if unknown:
         raise EvaluationError(f"unknown {what}(s): {', '.join(unknown)}")
@@ -42,7 +42,7 @@ def from_mapping(cls, raw: dict, what: str, **fixed):
                 and not (want is float and got is int):
             raise EvaluationError(f"{what} {f.name} must be {want.__name__}, "
                                   f"got {got.__name__}")
-    return cls(**raw, **fixed)
+    return cls(**raw)
 
 
 def weak_dominance(a: np.ndarray, b: np.ndarray, *, strict: bool = False) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Resampling decision functions behind one shared interface.
+"""Strategy types and the resampling decision functions behind one interface.
+
+Each config ``kind`` names one strategy type (:func:`strategy_type`); its
+``family`` groups it for comparison and its ``loop`` is what runs it.
 
 A decision function answers one question for a single point: is another
 evaluation worth its cost right now? The budget-fraction strategies (time,
@@ -12,7 +15,7 @@ nothing per point: ``nsga2_run`` gives each new point its ``n`` samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union, get_args
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -29,6 +32,8 @@ class StaticStrategy:
 
     n: int = 1
     kind: str = field(default="static", init=False)
+    family: ClassVar[str] = "static"
+    loop: ClassVar[str] = "one_shot"
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,8 @@ class TimeStrategy:
 
     n_max: int = 10
     kind: str = field(default="time", init=False)
+    family: ClassVar[str] = "dynamic"
+    loop: ClassVar[str] = "sequential"
 
 
 @dataclass(frozen=True)
@@ -45,6 +52,8 @@ class RankStrategy:
 
     n_max: int = 10
     kind: str = field(default="rank", init=False)
+    family: ClassVar[str] = "dynamic"
+    loop: ClassVar[str] = "sequential"
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,8 @@ class StrengthStrategy:
 
     n_max: int = 10
     kind: str = field(default="strength", init=False)
+    family: ClassVar[str] = "dynamic"
+    loop: ClassVar[str] = "sequential"
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,8 @@ class SeErrorStrategy:
     aggregation: str = "max"
     true_se: bool = True
     kind: str = field(default="sederror", init=False)
+    family: ClassVar[str] = "dynamic"
+    loop: ClassVar[str] = "sequential"
 
     def __post_init__(self) -> None:
         if self.aggregation not in ("max", "mean"):
@@ -91,6 +104,8 @@ class ArbStrategy:
     seed_size: int = 100
     weak_indicator: bool = False
     kind: str = field(default="arb", init=False)
+    family: ClassVar[str] = "arb"
+    loop: ClassVar[str] = "sequential"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha_l <= 0.5:
@@ -105,8 +120,36 @@ class ArbStrategy:
         return 1 if p > self.alpha_u else 0
 
 
+@dataclass(frozen=True)
+class RteaStrategy:
+    """Rolling Tide: ``k`` front re-evaluations per offspring, ``p`` initial
+    points, and the share ``z`` of the budget kept for refinement."""
+
+    k: int = 1
+    p: int = 40
+    z: float = 0.1
+    kind: str = field(default="rtea", init=False)
+    family: ClassVar[str] = "rtea"
+    loop: ClassVar[str] = "rtea"
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.z < 1.0:
+            raise EvaluationError("refinement fraction must lie in [0, 1)")
+        if self.k < 1:
+            raise EvaluationError("k must be at least 1")
+
+
 ResamplingStrategy = Union[StaticStrategy, TimeStrategy, RankStrategy,
-                           StrengthStrategy, SeErrorStrategy, ArbStrategy]
+                           StrengthStrategy, SeErrorStrategy, ArbStrategy, RteaStrategy]
+_TYPES = {cls.kind: cls for cls in get_args(ResamplingStrategy)}
+
+
+def strategy_type(kind) -> type:
+    """The strategy type a config ``kind`` names."""
+    try:
+        return _TYPES[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise EvaluationError(f"unknown strategy kind {kind!r}") from None
 
 
 @dataclass
@@ -217,7 +260,7 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext) -> bool:
     Budget-fraction kinds answer True while count < nu * n_max (strict);
     the standard-error kind compares against its threshold; the arb kind
     needs the context to carry the current front, the dispersion pool, and
-    a random stream. Static, which decides nothing, is refused.
+    a random stream. Static and RTEA, which decide nothing, are refused.
     """
     point = ctx.point
     if isinstance(strategy, TimeStrategy):
@@ -243,7 +286,4 @@ def strategy_from_dict(spec: dict) -> ResamplingStrategy:
     """Build a strategy from a config mapping with a 'kind' key."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
-    makers = {cls.kind: cls for cls in get_args(ResamplingStrategy)}
-    if kind not in makers:
-        raise EvaluationError(f"unknown resampling kind {kind!r}")
-    return from_mapping(makers[kind], spec, f"{kind} parameter")
+    return from_mapping(strategy_type(kind), spec, f"{kind} parameter")

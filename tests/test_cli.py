@@ -134,6 +134,9 @@ BAD_CONFIGS = {
     "alpha": ({"strategies": [{"kind": "arb", "grid": {"alpha": [0.2]}}]}, "alpha"),
     "alpha_l": ({"strategies": [{"kind": "arb", "grid": {"alpha_l": [0.6]}}]}, "alpha_l"),
     "rtea_alpha": ({"strategies": [{"kind": "rtea", "grid": {"alpha": [0.2]}}]}, "alpha"),
+    "rtea_p_above_budget": ({"strategies": [{"kind": "rtea", "grid": {"p": [400]}}]},
+                            "rtea initial sample p=400 exceeds the budget"),
+    "grid_loop": ({"strategies": [{"kind": "static", "grid": {"loop": ["rtea"]}}]}, "loop"),
     "metrics_bogus": ({"metrics": {"bogus": 1}}, "bogus"),
     "variation_bogus": ({"variation": {"sbx_eta": 5.0, "sbx_prob": 0.9,
                                        "mutation_eta": 20.0, "mutation_prob": 0.1}},

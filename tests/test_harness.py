@@ -106,17 +106,33 @@ class TestConfigAndSlices:
         assert asdict(config.selection) == {"n_select": 1, "n_compare": 4, "n_repeats": 100,
                                     "prestudy_budget": 2000}
 
-    def test_family_grouping(self):
-        def family_of(kind):
-            return RunSlice.from_dict({**tiny_config().slices()[0].as_dict(),
-                                       "strategy": {"kind": kind}}).family
-
-        assert family_of("static") == "static"
-        assert family_of("rank") == family_of("sederror") == "dynamic"
-        assert family_of("arb") == "arb"
-        assert family_of("rtea") == "rtea"
-        with pytest.raises(EvaluationError):
-            family_of("other")
+    def test_family_grouping(self, tmp_path):
+        # kind -> (family, the mode slices() writes, per_run.csv optimizer)
+        expected = {"static": ("static", "one_shot", "nsga2"),
+                    "time": ("dynamic", "sequential", "nsga2"),
+                    "rank": ("dynamic", "sequential", "nsga2"),
+                    "strength": ("dynamic", "sequential", "nsga2"),
+                    "sederror": ("dynamic", "sequential", "nsga2"),
+                    "arb": ("arb", "sequential", "nsga2"),
+                    "rtea": ("rtea", "rtea", "rtea")}
+        config = tiny_config(noise=[{"kind": "none"}], budget=240,
+                             strategies=[{"kind": kind} for kind in expected],
+                             selection={"prestudy_budget": 220})
+        slices = config.slices()
+        assert {s.strategy["kind"]: (s.family, s.mode) for s in slices} == {
+            kind: (family, mode) for kind, (family, mode, _) in expected.items()}
+        records = [RunRecord(fingerprint=s.fingerprint, slice=s.as_dict(), replication=0,
+                             seed=0, spent=240, eval_log=[], final_population=[],
+                             returned_set=[], metrics={"hv_normalized": 0.5, "hv_raw": 0.5,
+                                                       "igd": 0.5, "n_returned": 1,
+                                                       "n_filtered": 1})
+                   for s in slices]
+        rows = [dict(zip(PER_RUN_HEADER, line.split(",")))
+                for line in report(records, tmp_path)[0].read_text().splitlines()[1:]]
+        assert {row["strategy"][:-2]: (row["family"], row["mode"], row["optimizer"])
+                for row in rows} == expected
+        with pytest.raises(EvaluationError, match="unknown strategy kind 'other'"):
+            RunSlice.from_dict({**slices[0].as_dict(), "strategy": {"kind": "other"}}).family
 
 
 class TestRunSingle:

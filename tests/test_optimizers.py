@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymoo.metrics import score_final_set
-from noisymoo.optimizers import (Evaluator, RteaConfig, _reseat, environmental_select,
+from noisymoo.optimizers import (Evaluator, _reseat, check_run_shape, environmental_select,
                                  nsga2_run, rtea_run, tournament_select,
                                  tournament_winner)
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                              nondominated_sort)
 from noisymoo.problems import NoiseLaw, make_problem
-from noisymoo.resampling import ArbStrategy, SeErrorStrategy, StaticStrategy
+from noisymoo.resampling import ArbStrategy, RteaStrategy, SeErrorStrategy, StaticStrategy
 from noisymoo.variation import VariationConfig, make_children, polynomial_mutate, sbx_pair
 
 from .oracles import brute_dominates, brute_environmental_select, brute_reseat
@@ -101,10 +101,18 @@ class TestEnvironmentalSelect:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            objs = rng.uniform(0, 1, size=(12, 2))
-            survivors = environmental_select(pts([tuple(o) for o in objs]), 8)
-            expected = brute_environmental_select(objs, 8)
+        cases = [(rng.uniform(0, 1, size=(12, 2)), 8) for _ in range(50)]
+        # Ranks by index 2, 1, 3, 1, 2, 1, 2, 3: ranks 1 and 2 fill popsize 6
+        # exactly, so both keep their input order.
+        cases.append((np.array([(1, 3), (0, 2), (3, 5), (2, 0), (3, 1), (1, 1), (2, 2),
+                                (4, 4)], dtype=float), 6))
+        # Each rank-2 point is the extreme of some objective, so the boundary
+        # front's crowding is inf throughout and its split goes by index.
+        cases.append((np.array([(1, 2, 3), (0, 0, 0), (3, 1, 2), (2, 3, 1), (5, 5, 5)],
+                               dtype=float), 3))
+        for objs, popsize in cases:
+            survivors = environmental_select(pts([tuple(o) for o in objs]), popsize)
+            expected = brute_environmental_select(objs, popsize)
             assert [s.uid for s in survivors] == expected
 
     def test_elitism_first_front_survives_when_it_fits(self):
@@ -198,33 +206,38 @@ class TestNsga2:
 class TestRtea:
     def test_budget_exact_and_refinement_share(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
-        cfg = RteaConfig(m=1000, z=0.1)
-        assert cfg.refinement_evals == 100
-        res = rtea_run(problem, cfg, VAR, np.random.default_rng(17))
+        res = rtea_run(problem, RteaStrategy(z=0.1), 1000, VAR, np.random.default_rng(17))
         assert res.spent == 1000
         assert len(res.log) == 1000
+        # The last round(0.1 * 1000) evaluations refine: no new point among
+        # them, and the last offspring (with k = 1) comes just before.
+        _, first_rows = np.unique(res.log[:, 0], return_index=True)
+        assert 898 <= first_rows.max() < 900
 
     def test_deterministic_under_seed(self):
         problem = make_problem("uf2", noise=NoiseLaw(kind="chisq", df=1, sigma=1.0))
-        a = rtea_run(problem, RteaConfig(m=500), VAR, np.random.default_rng(3))
-        b = rtea_run(problem, RteaConfig(m=500), VAR, np.random.default_rng(3))
+        a = rtea_run(problem, RteaStrategy(), 500, VAR, np.random.default_rng(3))
+        b = rtea_run(problem, RteaStrategy(), 500, VAR, np.random.default_rng(3))
         assert np.array_equal(a.log[:, 2:], b.log[:, 2:])  # samples
 
     def test_zero_noise_run_reaches_sane_hypervolume(self):
         # Loose bound from reference runs at this budget; the front-only
         # parent pool converges slower than NSGA-II here.
         problem = make_problem("uf1")
-        res = rtea_run(problem, RteaConfig(m=4000), VAR, np.random.default_rng(19))
+        res = rtea_run(problem, RteaStrategy(), 4000, VAR, np.random.default_rng(19))
         report = score_final_set(res.front, problem)
         assert report.hv_normalized >= 0.5
 
     def test_initial_sample_larger_than_budget_rejected(self):
-        with pytest.raises(EvaluationError):
-            RteaConfig(m=30, p=40)
+        with pytest.raises(EvaluationError, match="p=40 exceeds the budget 30"):
+            check_run_shape(RteaStrategy(p=40), None, 30)
+        with pytest.raises(EvaluationError, match="p=40 exceeds the budget 30"):
+            rtea_run(make_problem("uf1"), RteaStrategy(p=40), 30, VAR, np.random.default_rng(0))
+        check_run_shape(RteaStrategy(p=30), None, 30)
 
     def test_front_is_nondominated_under_means(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=1.0))
-        res = rtea_run(problem, RteaConfig(m=600), VAR, np.random.default_rng(23))
+        res = rtea_run(problem, RteaStrategy(), 600, VAR, np.random.default_rng(23))
         means = [p.mean for p in res.front]
         for i, a in enumerate(means):
             for j, b in enumerate(means):
@@ -310,7 +323,7 @@ class TestEvaluator:
         if kind == "nsga2":
             res = nsga2_run(problem, StaticStrategy(n=3), 10, 300, VAR, rng)
         else:
-            res = rtea_run(problem, RteaConfig(m=300, p=10), VAR, rng)
+            res = rtea_run(problem, RteaStrategy(p=10), 300, VAR, rng)
         n_points = len(set(res.log[:, 0]))
         assert len(res.log) == 300 > n_points == len(calls)
 

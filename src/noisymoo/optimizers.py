@@ -106,12 +106,16 @@ def tournament_winner(pop: RankedPopulation, i: int, j: int,
     return int(i if rng.random() < 0.5 else j)
 
 
+def draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Two indices in [0, n): the values and state of ``rng.integers(0, n, size=2)``, faster."""
+    return int(rng.integers(0, n)), int(rng.integers(0, n))
+
+
 def tournament_select(pop: RankedPopulation, rng: np.random.Generator) -> int:
     """Binary tournament between two members drawn with replacement."""
     if len(pop) < 2:
         raise EvaluationError("tournament needs at least two members")
-    i, j = rng.integers(0, len(pop), size=2)
-    return tournament_winner(pop, int(i), int(j), rng)
+    return tournament_winner(pop, *draw_pair(rng, len(pop)), rng)
 
 
 def environmental_select(points: list[EvaluatedPoint], popsize: int) -> list[EvaluatedPoint]:
@@ -149,9 +153,11 @@ def _initialize_arb(ev: Evaluator, strategy: ArbStrategy,
 
 def check_run_shape(strategy: ResamplingStrategy, popsize: int | None, budget: int) -> None:
     """Raise :class:`EvaluationError` for a run the strategy's loop cannot
-    run: an RTEA ``p`` above the budget (RTEA takes no ``popsize``), or a
+    run: an RTEA ``p`` outside 1..budget (RTEA takes no ``popsize``), or a
     popsize, budget or arb ``init_popsize`` that :func:`nsga2_run` cannot run."""
     if strategy.loop == "rtea":
+        if strategy.p < 1:
+            raise EvaluationError(f"rtea initial sample p={strategy.p} must be at least 1")
         if strategy.p > budget:
             raise EvaluationError(f"rtea initial sample p={strategy.p} exceeds the budget {budget}")
         return
@@ -274,7 +280,7 @@ def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
     refine = int(round(strategy.z * budget))
     while ev.remaining > refine:
         iteration += 1
-        a, b = rng.integers(0, len(front), size=2)
+        a, b = draw_pair(rng, len(front))
         child_x, _ = make_children(front[a].decision, front[b].decision,
                                    problem.lower, problem.upper, variation, rng)
         child = ev.spawn(child_x, iteration)

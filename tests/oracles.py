@@ -195,3 +195,76 @@ def brute_bootstrap_means_pooled(point, dispersion, n_draws: int,
     idx = rng.integers(0, n, size=(n_draws, n - 1))
     own = residuals.take(idx.T, axis=0).sum(axis=0)
     return point.mean + (pooled + own) / n
+
+
+def _brute_spread_factor(u, distance_to_bound, gap, eta):
+    beta = 1.0 + 2.0 * distance_to_bound / gap
+    alpha = 2.0 - beta ** -(eta + 1.0)
+    if u <= 1.0 / alpha:
+        return (u * alpha) ** (1.0 / (eta + 1.0))
+    return (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta + 1.0))
+
+
+def brute_sbx_pair(p1, p2, lower, upper, eta, prob, rng):
+    """Simulated binary crossover with one ``rng.random()`` call per draw:
+    the pair's crossover coin, then per gene a mixing coin and, for a mixed
+    gene, a spread draw and a side coin."""
+    c1 = p1.copy()
+    c2 = p2.copy()
+    if rng.random() >= prob:
+        return c1, c2
+    for i in range(p1.size):
+        if rng.random() >= 0.5:
+            continue
+        a, b = (p1[i], p2[i]) if p1[i] <= p2[i] else (p2[i], p1[i])
+        if b - a < 1e-14:
+            continue
+        u = rng.random()
+        low = 0.5 * (a + b - _brute_spread_factor(u, a - lower[i], b - a, eta) * (b - a))
+        high = 0.5 * (a + b + _brute_spread_factor(u, upper[i] - b, b - a, eta) * (b - a))
+        low = min(max(low, lower[i]), upper[i])
+        high = min(max(high, lower[i]), upper[i])
+        if rng.random() < 0.5:
+            c1[i], c2[i] = high, low
+        else:
+            c1[i], c2[i] = low, high
+    return c1, c2
+
+
+def brute_polynomial_mutate(x, lower, upper, eta, prob, rng):
+    """Bounded polynomial mutation with one ``rng.random()`` call per draw:
+    a coin per gene and one draw per mutated gene."""
+    out = x.copy()
+    for i in range(x.size):
+        if rng.random() >= prob:
+            continue
+        span = upper[i] - lower[i]
+        if span <= 0:
+            continue
+        to_lower = (out[i] - lower[i]) / span
+        to_upper = (upper[i] - out[i]) / span
+        u = rng.random()
+        if u < 0.5:
+            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - to_lower) ** (eta + 1.0)
+            delta = val ** (1.0 / (eta + 1.0)) - 1.0
+        else:
+            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - to_upper) ** (eta + 1.0)
+            delta = 1.0 - val ** (1.0 / (eta + 1.0))
+        out[i] += delta * span
+    return np.clip(out, lower, upper)
+
+
+def brute_make_children(p1, p2, lower, upper, cfg, rng):
+    """The per-call form of ``variation.make_children``: numpy-scalar
+    arithmetic and one ``rng.random()`` call per uniform draw."""
+    c1, c2 = brute_sbx_pair(p1, p2, lower, upper, cfg.sbx_eta, cfg.sbx_prob, rng)
+    prob = cfg.gene_mutation_prob(p1.size)
+    return (brute_polynomial_mutate(c1, lower, upper, cfg.mutation_eta, prob, rng),
+            brute_polynomial_mutate(c2, lower, upper, cfg.mutation_eta, prob, rng))
+
+
+def brute_pair_draw(rng, n):
+    """Two indices in [0, n) the way tournaments and RTEA's parent pick drew
+    them before: one sized ``rng.integers`` call."""
+    i, j = rng.integers(0, n, size=2)
+    return int(i), int(j)

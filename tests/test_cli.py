@@ -136,6 +136,8 @@ BAD_CONFIGS = {
     "rtea_alpha": ({"strategies": [{"kind": "rtea", "grid": {"alpha": [0.2]}}]}, "alpha"),
     "rtea_p_above_budget": ({"strategies": [{"kind": "rtea", "grid": {"p": [400]}}]},
                             "rtea initial sample p=400 exceeds the budget"),
+    "rtea_p_zero": ({"strategies": [{"kind": "rtea", "grid": {"p": [0]}}]},
+                    "rtea initial sample p=0 must be at least 1"),
     "grid_loop": ({"strategies": [{"kind": "static", "grid": {"loop": ["rtea"]}}]}, "loop"),
     "metrics_bogus": ({"metrics": {"bogus": 1}}, "bogus"),
     "variation_bogus": ({"variation": {"sbx_eta": 5.0, "sbx_prob": 0.9,

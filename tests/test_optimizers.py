@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymoo.metrics import score_final_set
-from noisymoo.optimizers import (Evaluator, _reseat, check_run_shape, environmental_select,
-                                 nsga2_run, rtea_run, tournament_select,
+from noisymoo.optimizers import (Evaluator, _reseat, check_run_shape, draw_pair,
+                                 environmental_select, nsga2_run, rtea_run, tournament_select,
                                  tournament_winner)
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                              nondominated_sort)
 from noisymoo.problems import NoiseLaw, make_problem
 from noisymoo.resampling import ArbStrategy, RteaStrategy, SeErrorStrategy, StaticStrategy
-from noisymoo.variation import VariationConfig, make_children, polynomial_mutate, sbx_pair
+from noisymoo.variation import VariationConfig, make_children
 
-from .oracles import brute_dominates, brute_environmental_select, brute_reseat
+from .oracles import (brute_dominates, brute_environmental_select, brute_make_children,
+                      brute_pair_draw, brute_reseat)
 
 VAR = VariationConfig()
 
@@ -42,17 +43,63 @@ class TestVariation:
     def test_sbx_preserves_gene_midpoint_distribution(self):
         rng = np.random.default_rng(1)
         lower, upper = np.zeros(1), np.ones(1)
+        crossover_only = VariationConfig(sbx_prob=1.0, mutation_prob=0.0)
         mids = []
         for _ in range(2000):
-            c1, c2 = sbx_pair(vec(0.3), vec(0.7), lower, upper, 15.0, 1.0, rng)
+            c1, c2 = make_children(vec(0.3), vec(0.7), lower, upper, crossover_only, rng)
             mids.append(0.5 * (c1[0] + c2[0]))
         assert np.mean(mids) == pytest.approx(0.5, abs=0.01)
 
     def test_mutation_identity_at_zero_probability(self):
         rng = np.random.default_rng(2)
-        x = vec(0.2, 0.8)
-        out = polynomial_mutate(x, np.zeros(2), np.ones(2), 20.0, 0.0, rng)
-        assert np.array_equal(out, x)
+        x, y = vec(0.2, 0.8), vec(0.6, 0.1)
+        c1, c2 = make_children(x, y, np.zeros(2), np.ones(2),
+                               VariationConfig(sbx_prob=0.0, mutation_prob=0.0), rng)
+        assert np.array_equal(c1, x) and np.array_equal(c2, y)
+
+    def test_batched_draws_match_the_per_call_loop_bit_for_bit(self):
+        # Children and the whole generator state after the call, spare
+        # 32-bit half included, against one rng.random() call per draw.
+        cases = np.random.default_rng(15)
+        spares = 0
+        for case in range(20_000):
+            dim = (3, 10, 30)[case % 3]
+            if case % 2:  # a random box, some genes with zero span
+                lower = cases.uniform(-2.0, 0.0, dim)
+                upper = lower + cases.uniform(0.1, 3.0, dim) * (cases.random(dim) > 0.05)
+            else:  # the UF box
+                lower, upper = np.r_[0.0, -np.ones(dim - 1)], np.ones(dim)
+            p1, p2 = cases.uniform(lower, upper), cases.uniform(lower, upper)
+            same = cases.random(dim) < 0.2  # equal parent genes
+            p2[same] = p1[same]
+            for parent in (p1, p2):  # genes at their bounds
+                at_lower, at_upper = cases.random((2, dim)) < 0.1
+                parent[at_lower], parent[at_upper] = lower[at_lower], upper[at_upper]
+                parent[at_lower & (lower == 0.0)] = -0.0  # np.clip makes it +0.0
+            cfg = VariationConfig(sbx_eta=(15.0, 2.0, 7.5)[case // 3 % 3],
+                                  sbx_prob=(0.0, 1.0, 0.9, cases.random())[case % 4],
+                                  mutation_eta=(20.0, 5.0)[case // 9 % 2],
+                                  mutation_prob=(0.0, 1.0, None, cases.random(), None)[case % 5])
+            rng = np.random.default_rng(int(cases.integers(2 ** 32)))
+            for _ in range(int(cases.integers(0, 4))):
+                rng.integers(0, 1 + int(cases.integers(1, 10 ** 6)))  # may leave a spare half
+            spares += rng.bit_generator.state["has_uint32"]
+            oracle = np.random.Generator(np.random.PCG64())
+            oracle.bit_generator.state = rng.bit_generator.state
+            got = make_children(p1, p2, lower, upper, cfg, rng)
+            want = brute_make_children(p1, p2, lower, upper, cfg, oracle)
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want], case
+            assert rng.bit_generator.state == oracle.bit_generator.state, case
+        assert 5_000 < spares < 15_000
+
+    def test_other_bit_generators_are_refused_before_any_draw(self):
+        rng = np.random.Generator(np.random.MT19937(1))
+        before = rng.bit_generator.state
+        with pytest.raises(EvaluationError, match="MT19937"):
+            make_children(vec(0.2, 0.8), vec(0.6, 0.1), np.zeros(2), np.ones(2), VAR, rng)
+        after = rng.bit_generator.state
+        assert np.array_equal(after["state"]["key"], before["state"]["key"])
+        assert after["state"]["pos"] == before["state"]["pos"]
 
 
 class TestTournament:
@@ -84,6 +131,20 @@ class TestTournament:
         freq = np.mean([tournament_select(pop, rng) for _ in range(10_000)])
         # index 1 can only win when drawn twice: probability 1/4
         assert freq == pytest.approx(0.25, abs=0.02)
+
+    def test_pair_draw_matches_one_sized_call(self):
+        # Bounds up to 3e9, where Lemire's bounded draw can reject and redraw.
+        plans = np.random.default_rng(16)
+        for n in [*range(2, 500), *(int(n) for n in plans.integers(500, 3 * 10 ** 9, 2000)),
+                  3 * 10 ** 9]:
+            rng = np.random.default_rng(int(plans.integers(2 ** 32)))
+            rng.integers(0, 1 + int(plans.integers(1, 10)), size=int(plans.integers(0, 3)))
+            if plans.random() < 0.5:
+                rng.integers(0, 7)  # toggles the spare 32-bit half
+            oracle = np.random.Generator(np.random.PCG64())
+            oracle.bit_generator.state = rng.bit_generator.state
+            assert draw_pair(rng, n) == brute_pair_draw(oracle, n), n
+            assert rng.bit_generator.state == oracle.bit_generator.state, n
 
 
 class TestEnvironmentalSelect:

@@ -7,7 +7,8 @@ Library layout:
 * ``bootstrap`` — dispersion pooling, corrected/mixed bootstrap of the
   sample mean, dominance probability, the adaptive resampling decision.
 * ``resampling`` — the strategy types, each naming its family and loop;
-  the time, rank, strength and standard-error decisions behind one interface.
+  the budget-share (time, rank, strength), standard-error and arb
+  decisions behind one interface.
 * ``optimizers`` — the loops: NSGA-II (static one-shot, every other kind
   sequential) and the Rolling Tide EA, under a strict evaluation budget.
 * ``metrics`` — true-mean filtering, 2-D hypervolume, IGD.
@@ -26,11 +27,10 @@ from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                      crowding_distance, nondominated_sort)
 from .problems import (NoiseLaw, NoisyProblem, evaluate_noisy, make_problem, sample_true_pf,
                        true_mean)
-from .resampling import (ArbStrategy, DecisionContext, RankStrategy, RteaStrategy,
-                         SeErrorStrategy, StaticStrategy, StrengthStrategy, TimeStrategy,
-                         budget_fraction_rank, budget_fraction_strength,
-                         budget_fraction_time, sederror_decide, should_resample,
-                         strategy_from_dict, strategy_type)
+from .resampling import (ArbStrategy, BudgetShare, DecisionContext, RankStrategy,
+                         RteaStrategy, SeErrorStrategy, StaticStrategy, StrengthStrategy,
+                         TimeStrategy, sederror_decide, should_resample, strategy_from_dict,
+                         strategy_type)
 from .variation import VariationConfig
 
 __version__ = "0.1.0"

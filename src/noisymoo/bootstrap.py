@@ -188,36 +188,37 @@ def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray,
 
 
 def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
-               dispersion: DispersionSet, thresholds: ArbStrategy,
-               n_draws: int, rng: np.random.Generator, *, weak: bool = False) -> bool:
+               dispersion: DispersionSet, strategy: ArbStrategy,
+               rng: np.random.Generator) -> bool:
     """Decide whether the candidate deserves another evaluation.
 
     Computes p* = max over front members (the candidate itself excluded) of
-    the bootstrap probability that the candidate's mean dominates the
-    member's mean, with fresh replicates on every call. One random draw
-    covers the whole decision, in segments: the candidate's first, then
-    each rival's in front order. Returns False when p* >
-    alpha_u (confidently good) or p* < alpha_l (hopeless), True inside the
-    band, as ``thresholds.side`` places it. A candidate that is the sole
-    front member has no comparison target, which counts as p* = 0. Exact
-    counts are taken only where the per-objective bounds (module
-    docstring) leave the side of p* open.
+    the bootstrap probability that the candidate's mean dominates (weakly
+    under ``strategy.weak_indicator``) the member's mean, with
+    ``strategy.n_boot`` fresh replicates per point. One random draw covers
+    the whole decision, in segments: the candidate's first, then each
+    rival's in front order. Returns False when p* > alpha_u (confidently
+    good) or p* < alpha_l (hopeless), True inside the band, as
+    ``strategy.side`` places it. A sole front member has no comparison
+    target, which counts as p* = 0. Exact counts are taken only where the
+    per-objective bounds (module docstring) leave the side of p* open.
     """
     if not front:
         raise EvaluationError("the front must be nonempty")
     rivals = [s for s in front if s is not candidate]
     if not rivals:
         return False
+    n_draws, strict = strategy.n_boot, not strategy.weak_indicator
     draws = bootstrap_means_stacked([candidate, *rivals], dispersion, n_draws, rng)
     candidate_draws, rival_draws = draws[0], draws[1:]
-    wins = _objective_wins(candidate_draws, rival_draws, strict=not weak)
+    wins = _objective_wins(candidate_draws, rival_draws, strict)
     pairs = n_draws * n_draws
     upper = wins.min(axis=0) / pairs
     lower = (wins.sum(axis=0) - (wins.shape[0] - 1) * pairs) / pairs
     p_low = float(lower.max())
     for r in np.argsort(-upper, kind="stable"):
-        if thresholds.side(p_low) == thresholds.side(max(p_low, float(upper[r]))):
+        if strategy.side(p_low) == strategy.side(max(p_low, float(upper[r]))):
             break
         p_low = max(p_low, dominance_probability(candidate_draws, rival_draws[r],
-                                                 strict=not weak))
-    return thresholds.side(p_low) == 0
+                                                 strict=strict))
+    return strategy.side(p_low) == 0

@@ -32,13 +32,13 @@ import numpy as np
 from .metrics import MetricParams, _nadir, score_final_set
 from .optimizers import check_run_shape, nsga2_run, rtea_run
 from .pareto import EvaluationError, from_mapping
-from .problems import NoiseLaw, make_problem, sample_true_pf
+from .problems import NOISE_KINDS, NoiseLaw, make_problem, sample_true_pf
 from .resampling import ResamplingStrategy, strategy_from_dict, strategy_type
 from .variation import VariationConfig
 
 SCHEMA_VERSION = 1
 FAMILIES = ("arb", "dynamic", "static", "rtea")
-NOISE_KIND_ORDER = ("chisq", "gaussian", "none")
+NOISE_KIND_ORDER = tuple(sorted(NOISE_KINDS))
 
 
 def _canonical(obj) -> str:
@@ -319,6 +319,23 @@ def write_record(path: str | Path, record: RunRecord) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def remove_stale_temps(records_dir: Path) -> None:
+    """Delete each :func:`write_record` temporary file whose writer was killed
+    before its rename. A killed worker stays a zombie until reaped, and an
+    init may never reap it, so a zombie that /proc shows counts as gone."""
+    for tmp in records_dir.glob(".*.json.*.tmp"):
+        pid = tmp.name.rsplit(".", 2)[1]
+        try:
+            os.kill(int(pid), 0)  # signal 0: does the process exist?
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        except ProcessLookupError:
+            state = "gone"
+        except (ValueError, OverflowError, OSError):
+            continue  # not a writer's pid, another user's process, or no /proc
+        if state in ("gone", "Z"):
+            tmp.unlink(missing_ok=True)
+
+
 def _run_job(args) -> str:
     slice_, rep, seed, metric_params, path_str = args
     write_record(path_str, run_single(slice_, rep, seed, metric_params))
@@ -334,10 +351,10 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
     read back. :func:`load_records` reads them in grid order, so every
     downstream report is independent of execution order.
     """
-    slices = config.slices(budget=budget)
+    remove_stale_temps(Path(out_dir) / "records")
     metric_params = config.metric_params()
     jobs_args = []
-    for slice_ in slices:
+    for slice_ in config.slices(budget=budget):
         for rep in range(config.replications):
             path = record_path(out_dir, slice_, rep)
             if path.exists():

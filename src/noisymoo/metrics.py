@@ -10,7 +10,7 @@ quality instead of noise luck is the whole point of the filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,16 +44,7 @@ class MetricReport:
     n_filtered: int
 
     def as_dict(self) -> dict:
-        return {
-            "hv_raw": self.hv_raw,
-            "hv_normalized": self.hv_normalized,
-            "igd": self.igd,
-            "igd_power": self.igd_power,
-            "nadir": list(self.nadir),
-            "pf_sample_size": self.pf_sample_size,
-            "n_returned": self.n_returned,
-            "n_filtered": self.n_filtered,
-        }
+        return {**asdict(self), "nadir": list(self.nadir)}
 
 
 def true_nondominated_filter(returned: list[EvaluatedPoint],

@@ -220,14 +220,12 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
         combined = pop + offspring
         if not one_shot:
             ranked = nondominated_sort(combined)
-            front = ranked.first_front()
+            ctx = DecisionContext(population=ranked, n_gen=min(gen, max_gen), max_gen=max_gen,
+                                  front=ranked.first_front(), dispersion=dispersion, rng=rng)
             for i, point in enumerate(combined):
                 if ev.remaining <= 0:
                     break
-                ctx = DecisionContext(point_index=i, population=ranked,
-                                      n_gen=min(gen, max_gen), max_gen=max_gen,
-                                      front=front, dispersion=dispersion, rng=rng)
-                if should_resample(strategy, ctx) and ev.reevaluate(point, gen) and arb:
+                if should_resample(strategy, ctx, i) and ev.reevaluate(point, gen) and arb:
                     push_newest_residual(dispersion, point)
         pop = environmental_select(combined, popsize)
 

@@ -168,11 +168,10 @@ _MEAN_FNS = {"uf1": mean_fn_uf1, "uf2": mean_fn_uf2, "uf3": mean_fn_uf3}
 
 def make_problem(name: str, dim: int = 10, noise: NoiseLaw | None = None) -> NoisyProblem:
     """Build a registered problem by name ('uf1', 'uf2', 'uf3')."""
-    if not isinstance(name, str) or name.lower() not in _MEAN_FNS:
+    if not isinstance(name, str) or name not in _MEAN_FNS:
         raise EvaluationError(f"unknown problem {name!r}; choose from {sorted(_MEAN_FNS)}")
-    key = name.lower()
     if dim < 3:
         raise EvaluationError("UF problems need dim >= 3")
-    lower, upper = _uf_bounds(key, dim)
-    return NoisyProblem(name=key, dim=dim, lower=lower, upper=upper,
-                        mean_fn=_MEAN_FNS[key], noise=noise or NoiseLaw())
+    lower, upper = _uf_bounds(name, dim)
+    return NoisyProblem(name=name, dim=dim, lower=lower, upper=upper,
+                        mean_fn=_MEAN_FNS[name], noise=noise or NoiseLaw())

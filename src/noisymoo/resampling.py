@@ -4,9 +4,9 @@ Each config ``kind`` names one strategy type (:func:`strategy_type`); its
 ``family`` groups it for comparison and its ``loop`` is what runs it.
 
 A decision function answers one question for a single point: is another
-evaluation worth its cost right now? The budget-fraction strategies (time,
-rank, strength) grant a point a share ``nu`` of a maximal per-point budget
-and answer True while its count stays strictly below ``nu * n_max``. The
+evaluation worth its cost right now? The budget-share strategies (time,
+rank, strength: :class:`BudgetShare`) answer True while a point's count
+stays strictly below its share of a maximal per-point budget. The
 standard-error strategy resamples until the mean is precise enough; "arb"
 delegates to the bootstrap dominance-probability rule. Static decides
 nothing per point: ``nsga2_run`` gives each new point its ``n`` samples.
@@ -23,8 +23,6 @@ from . import bootstrap
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation, from_mapping,
                      weak_dominance)
 
-_STRENGTH_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class StaticStrategy:
@@ -37,33 +35,55 @@ class StaticStrategy:
 
 
 @dataclass(frozen=True)
-class TimeStrategy:
+class BudgetShare:
+    """Resample member i while its count < ``share(i, ctx) * n_max``, a share
+    in [0, 1]; the time, rank and strength kinds differ only in the share."""
+
+    n_max: int = 10
+    family: ClassVar[str] = "dynamic"
+    loop: ClassVar[str] = "sequential"
+
+
+@dataclass(frozen=True)
+class TimeStrategy(BudgetShare):
     """Budget share grows linearly with the generation counter."""
 
-    n_max: int = 10
     kind: str = field(default="time", init=False)
-    family: ClassVar[str] = "dynamic"
-    loop: ClassVar[str] = "sequential"
+
+    def share(self, i: int, ctx: DecisionContext) -> float:
+        """n_gen / max_gen, capped at 1; reads only the generation counter."""
+        return min(1.0, ctx.n_gen / ctx.max_gen)
 
 
 @dataclass(frozen=True)
-class RankStrategy:
+class RankStrategy(BudgetShare):
     """Budget share decreases linearly with Pareto rank."""
 
-    n_max: int = 10
     kind: str = field(default="rank", init=False)
-    family: ClassVar[str] = "dynamic"
-    loop: ClassVar[str] = "sequential"
+
+    def share(self, i: int, ctx: DecisionContext) -> float:
+        """1 at rank 1 falling linearly to 0 at the worst rank, 1 if all share
+        rank 1; reads ``population.rank``, fixed at the sweep's start."""
+        max_rank = int(ctx.population.rank.max())
+        if max_rank == 1:
+            return 1.0
+        return 1.0 - (int(ctx.population.rank[i]) - 1) / (max_rank - 1)
 
 
 @dataclass(frozen=True)
-class StrengthStrategy:
+class StrengthStrategy(BudgetShare):
     """Budget share proportional to how many rivals a point weakly dominates."""
 
-    n_max: int = 10
     kind: str = field(default="strength", init=False)
-    family: ClassVar[str] = "dynamic"
-    loop: ClassVar[str] = "sequential"
+
+    def share(self, i: int, ctx: DecisionContext) -> float:
+        """Strength over the maximal strength, read from the live member means
+        (:func:`all_strengths`); 1 when all are zero (up to 1e-12 absolute)."""
+        strengths = all_strengths(ctx.population)
+        s_max = float(strengths.max())
+        if s_max <= 1e-12:
+            return 1.0
+        return float(strengths[i]) / s_max
 
 
 @dataclass(frozen=True)
@@ -156,33 +176,25 @@ def strategy_type(kind) -> type:
 class DecisionContext:
     """Everything a decision function may read about the current state.
 
-    NSGA-II builds one only in its sequential sweep over the combined
-    population, where points re-evaluated earlier in the same sweep already
-    carry their new samples. The population state each kind reads there:
+    NSGA-II builds one per sweep over the combined population and asks
+    :func:`should_resample` about each member by index. ``dispersion`` and
+    the member means are live (points re-evaluated earlier in the sweep
+    carry their new samples); ``rank`` and the front's membership are fixed
+    at the sweep's start. The population state each kind reads:
 
-    * ``rank`` reads ``population.rank``, the ranks from the sort at the
-      start of the sweep; they are not updated as means move.
-    * ``strength`` reads the live means (``population.means`` is rebuilt
-      from the members on every call), so it sees every re-evaluation made
-      earlier in the sweep.
-    * ``arb`` reads the live means and samples of the point and of the
-      front members, but the front's membership is fixed at the start of
-      the sweep.
-    * ``time`` and ``sederror`` read only the point itself (plus
-      ``n_gen``/``max_gen`` for ``time``); ``static`` decides nothing.
+    * ``rank``: ``population.rank``, which no re-evaluation moves;
+    * ``strength``: the live means (``population.means`` is rebuilt per call);
+    * ``arb``: the live means and samples of the point and of the front
+      members, and the live dispersion pool;
+    * ``time``: only ``n_gen``/``max_gen``; ``sederror``: only the point.
     """
 
-    point_index: int
     population: RankedPopulation
     n_gen: int = 0
     max_gen: int = 1
     front: list[EvaluatedPoint] | None = None
     dispersion: bootstrap.DispersionSet | None = None
     rng: np.random.Generator | None = None
-
-    @property
-    def point(self) -> EvaluatedPoint:
-        return self.population.members[self.point_index]
 
 
 def all_strengths(pop: RankedPopulation) -> np.ndarray:
@@ -195,34 +207,6 @@ def all_strengths(pop: RankedPopulation) -> np.ndarray:
     weak = weak_dominance(means, means)
     np.fill_diagonal(weak, False)
     return weak.sum(axis=1) / len(pop)
-
-
-def budget_fraction_strength(i: int, pop: RankedPopulation) -> float:
-    """Share as the ratio to the maximal strength.
-
-    When every strength is zero (up to an absolute tolerance of 1e-12), all
-    points get the full share.
-    """
-    strengths = all_strengths(pop)
-    s_max = float(strengths.max())
-    if s_max <= _STRENGTH_TOL:
-        return 1.0
-    return float(strengths[i]) / s_max
-
-
-def budget_fraction_rank(i: int, pop: RankedPopulation) -> float:
-    """1 at rank 1 falling linearly to 0 at the worst rank; 1 if all share rank 1."""
-    max_rank = int(pop.rank.max())
-    if max_rank == 1:
-        return 1.0
-    return 1.0 - (int(pop.rank[i]) - 1) / (max_rank - 1)
-
-
-def budget_fraction_time(ctx: DecisionContext) -> float:
-    """Share of the per-point budget unlocked so far, n_gen / max_gen, capped at 1."""
-    if ctx.max_gen < 1:
-        raise EvaluationError("max_gen must be at least 1")
-    return min(1.0, ctx.n_gen / ctx.max_gen)
 
 
 def standard_error(point: EvaluatedPoint, aggregation: str = "max", *,
@@ -254,31 +238,21 @@ def sederror_decide(point: EvaluatedPoint, threshold: float, aggregation: str = 
     return standard_error(point, aggregation, true_se=true_se) > threshold
 
 
-def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext) -> bool:
-    """Dispatch one resampling decision for the point named by the context.
-
-    Budget-fraction kinds answer True while count < nu * n_max (strict);
-    the standard-error kind compares against its threshold; the arb kind
-    needs the context to carry the current front, the dispersion pool, and
-    a random stream. Static and RTEA, which decide nothing, are refused.
-    """
-    point = ctx.point
-    if isinstance(strategy, TimeStrategy):
-        return point.count < budget_fraction_time(ctx) * strategy.n_max
-    if isinstance(strategy, RankStrategy):
-        return point.count < budget_fraction_rank(ctx.point_index, ctx.population) * strategy.n_max
-    if isinstance(strategy, StrengthStrategy):
-        return (point.count
-                < budget_fraction_strength(ctx.point_index, ctx.population) * strategy.n_max)
+def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext, i: int) -> bool:
+    """One resampling decision for member ``i`` of the context's population:
+    the budget-share rule, the standard-error threshold, or the arb rule,
+    which needs the context's front, dispersion pool and random stream.
+    Static and RTEA, which decide nothing, are refused."""
+    point = ctx.population.members[i]
+    if isinstance(strategy, BudgetShare):
+        return point.count < strategy.share(i, ctx) * strategy.n_max
     if isinstance(strategy, SeErrorStrategy):
         return sederror_decide(point, strategy.threshold, strategy.aggregation,
                                true_se=strategy.true_se)
     if isinstance(strategy, ArbStrategy):
         if ctx.front is None or ctx.dispersion is None or ctx.rng is None:
             raise EvaluationError("arb decisions need front, dispersion and rng in the context")
-        return bootstrap.arb_decide(point, ctx.front, ctx.dispersion,
-                                    strategy, strategy.n_boot, ctx.rng,
-                                    weak=strategy.weak_indicator)
+        return bootstrap.arb_decide(point, ctx.front, ctx.dispersion, strategy, ctx.rng)
     raise EvaluationError(f"no per-point resampling decision for {strategy!r}")
 
 

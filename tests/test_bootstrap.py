@@ -241,14 +241,14 @@ class TestArbDecision:
         candidate = point((0, 0))
         rival = point((1, 1), (1, 1))
         assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.1, alpha_u=0.9),
-                          100, np.random.default_rng(0)) is False
+                          np.random.default_rng(0)) is False
 
     def test_hopeless_stops(self):
         ds = self._tiny_pool()
         candidate = point((2, 2))
         rival = point((1, 1), (1, 1))
         assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.1, alpha_u=0.9),
-                          100, np.random.default_rng(0)) is False
+                          np.random.default_rng(0)) is False
 
     def test_uncertain_band_continues(self):
         # Equal means with symmetric jitter put p* near 0.5.
@@ -256,18 +256,18 @@ class TestArbDecision:
         candidate = point((1, 1))
         rival = point((1, 1), (1, 1))
         assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
-                          100, np.random.default_rng(0)) is True
+                          np.random.default_rng(0)) is True
 
     def test_candidate_excluded_from_own_front(self):
         ds = self._tiny_pool()
         candidate = point((0, 0))
         assert arb_decide(candidate, [candidate], ds, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
-                          100, np.random.default_rng(0)) is False
+                          np.random.default_rng(0)) is False
 
     def test_empty_front_rejected(self):
         with pytest.raises(EvaluationError):
             arb_decide(point((0, 0)), [], self._tiny_pool(), ArbStrategy(),
-                       100, np.random.default_rng(0))
+                       np.random.default_rng(0))
 
     def test_threshold_ranges_enforced(self):
         with pytest.raises(EvaluationError):
@@ -288,9 +288,8 @@ class TestArbDecision:
             ds.push(rng.normal(size=2))
         candidate = point(*[tuple(rng.normal(size=2)) for _ in range(3)])
         rivals = [point(*[tuple(rng.normal(size=2)) for _ in range(k)]) for k in (1, 2, 4)]
-        thresholds = ArbStrategy(alpha_l=0.2, alpha_u=0.9)
-        decision = arb_decide(candidate, rivals, ds, thresholds, 100,
-                              np.random.default_rng(77), weak=weak)
+        strategy = ArbStrategy(alpha_l=0.2, alpha_u=0.9, weak_indicator=weak)
+        decision = arb_decide(candidate, rivals, ds, strategy, np.random.default_rng(77))
         rng2 = np.random.default_rng(77)
         cand_draws = bootstrap_means_pooled(candidate, ds, 100, rng2)
         p_star = max(brute_dominance_probability(
@@ -335,13 +334,12 @@ class TestArbDecision:
                 bands.append((alpha, 0.9) if p_star < 0.5 else (0.2, alpha))
             for alpha_l, alpha_u in bands:
                 try:
-                    thresholds = ArbStrategy(alpha_l=float(alpha_l),
-                                             alpha_u=float(alpha_u))
+                    strategy = ArbStrategy(alpha_l=float(alpha_l), alpha_u=float(alpha_u),
+                                           n_boot=n_draws, weak_indicator=weak)
                 except EvaluationError:
                     continue  # p* at 0 or 1 leaves no room on one side
                 exact_calls.clear()
-                decision = arb_decide(candidate, front, None, thresholds, n_draws, None,
-                                      weak=weak)
+                decision = arb_decide(candidate, front, None, strategy, None)
                 assert decision is bool(alpha_l <= p_star <= alpha_u)
                 assert len(exact_calls) <= n_rivals
                 bound_only += len(exact_calls) < n_rivals

@@ -154,6 +154,7 @@ BAD_CONFIGS = {
     "entry_kind_list": ({"strategies": [{"kind": ["static"]}]}, "kind"),
     "problems_str": ({"problems": "uf1"}, "problems"),
     "problems_unknown": ({"problems": ["uf9"]}, "uf9"),
+    "problems_upper_case": ({"problems": ["uf1", "UF1"]}, "unknown problem 'UF1'"),
     "dim_small": ({"dim": 2}, "dim"),
     "budget_str": ({"budget": "60"}, "budget"),
     "n_pf_str": ({"metrics": {"n_pf": "5"}}, "n_pf"),

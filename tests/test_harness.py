@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -208,6 +211,35 @@ class TestSweep:
         assert len(load_records(config, tmp_path)) == \
                len(config.slices()) * config.replications
         assert path.read_bytes() == whole
+
+    def test_sweep_removes_temp_files_of_dead_writers_only(self, tmp_path):
+        # A writer killed between writing and renaming leaves its temp file;
+        # one of a live writer (another sweep into the same directory) stays.
+        records = tmp_path / "records"
+        records.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        dead = records / f".a_r000.json.{child.pid}.tmp"
+        live = records / f".b_r000.json.{os.getpid()}.tmp"
+        for tmp in (dead, live):
+            tmp.write_text("{")
+        sweep(tiny_config(noise=[{"kind": "none"}], replications=1), tmp_path)
+        assert not dead.exists() and live.exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_sweep_removes_temp_file_of_a_zombie_writer(self, tmp_path):
+        # A SIGKILLed worker whose sweep died too is a zombie until reaped.
+        records = tmp_path / "records"
+        records.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
+        zombie = records / f".a_r000.json.{child.pid}.tmp"
+        zombie.write_text("{")
+        try:
+            sweep(tiny_config(noise=[{"kind": "none"}], replications=1), tmp_path)
+        finally:
+            child.wait()
+        assert not zombie.exists()
 
     def test_failed_write_leaves_old_record_and_no_temp_file(self, tmp_path, monkeypatch):
         config = tiny_config()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisymoo import optimizers
 from noisymoo.metrics import score_final_set
 from noisymoo.optimizers import (Evaluator, _reseat, check_run_shape, draw_pair,
                                  environmental_select, nsga2_run, rtea_run, tournament_select,
@@ -12,7 +13,8 @@ from noisymoo.optimizers import (Evaluator, _reseat, check_run_shape, draw_pair,
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                              nondominated_sort)
 from noisymoo.problems import NoiseLaw, make_problem
-from noisymoo.resampling import ArbStrategy, RteaStrategy, SeErrorStrategy, StaticStrategy
+from noisymoo.resampling import (ArbStrategy, DecisionContext, RteaStrategy, SeErrorStrategy,
+                                 StaticStrategy, TimeStrategy)
 from noisymoo.variation import VariationConfig, make_children
 
 from .oracles import (brute_dominates, brute_environmental_select, brute_make_children,
@@ -224,6 +226,19 @@ class TestNsga2:
         assert res.spent == 4000
         report = score_final_set(res.front, problem)
         assert report.hv_normalized >= 0.65
+
+    def test_one_decision_context_per_generation(self, monkeypatch):
+        contexts = []
+
+        def recorded(**fields):
+            contexts.append(DecisionContext(**fields))
+            return contexts[-1]
+
+        monkeypatch.setattr(optimizers, "DecisionContext", recorded)
+        problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
+        res = nsga2_run(problem, TimeStrategy(n_max=3), 6, 300, VAR, np.random.default_rng(5))
+        assert len(contexts) == int(res.log[:, 1].max())  # generations run
+        assert [c.n_gen for c in contexts] == [min(g, 50) for g in range(1, len(contexts) + 1)]
 
     def test_arb_run_spends_budget_exactly(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))

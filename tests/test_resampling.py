@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from noisymoo.pareto import EvaluatedPoint, EvaluationError, nondominated_sort
 from noisymoo.resampling import (ArbStrategy, DecisionContext, RankStrategy,
                                  SeErrorStrategy, StaticStrategy, StrengthStrategy,
-                                 TimeStrategy, all_strengths, budget_fraction_rank,
-                                 budget_fraction_strength, budget_fraction_time,
-                                 sederror_decide, should_resample, standard_error,
-                                 strategy_from_dict)
+                                 TimeStrategy, all_strengths, sederror_decide, should_resample,
+                                 standard_error, strategy_from_dict)
 
 from .oracles import brute_strengths
 
@@ -23,9 +21,8 @@ def ranked(objs, counts=None):
     return nondominated_sort(pts)
 
 
-def ctx_for(pop, index=0, n_gen=0, max_gen=10):
-    return DecisionContext(point_index=index, population=pop, n_gen=n_gen,
-                           max_gen=max_gen)
+def ctx_for(pop, n_gen=0, max_gen=10):
+    return DecisionContext(population=pop, n_gen=n_gen, max_gen=max_gen)
 
 
 class TestStrength:
@@ -51,37 +48,37 @@ class TestStrength:
 
     def test_fraction_all_zero_gives_full_budget(self):
         pop = ranked([(0, 3), (1, 2), (2, 1), (3, 0)])
-        assert [budget_fraction_strength(i, pop) for i in range(4)] == [1, 1, 1, 1]
+        assert [StrengthStrategy().share(i, ctx_for(pop)) for i in range(4)] == [1, 1, 1, 1]
 
     def test_fraction_ratio_case(self):
         # strengths 0.75, 0.25, 0, 0 -> fractions 1, 1/3, 0, 0
         pop = ranked([(0, 0), (1, 3), (2, 4), (3, 0.5)])
         assert [all_strengths(pop)[i] for i in range(4)] == [0.75, 0.25, 0, 0]
-        fr = [budget_fraction_strength(i, pop) for i in range(4)]
+        fr = [StrengthStrategy().share(i, ctx_for(pop)) for i in range(4)]
         assert fr == pytest.approx([1.0, 1 / 3, 0.0, 0.0])
 
     def test_fraction_boundary_case(self):
         # one point dominating exactly one other: max strength = 1/|P|
         pop = ranked([(0, 0), (1, 1), (0, 5), (5, 0)])
-        fr = [budget_fraction_strength(i, pop) for i in range(4)]
+        fr = [StrengthStrategy().share(i, ctx_for(pop)) for i in range(4)]
         assert fr == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
 
 class TestRankAndTime:
     def test_rank_extremes(self):
         pop = ranked([(0, 0), (1, 1), (2, 2)])  # ranks 1, 2, 3
-        assert budget_fraction_rank(0, pop) == 1.0
-        assert budget_fraction_rank(2, pop) == 0.0
-        assert budget_fraction_rank(1, pop) == pytest.approx(0.5)
+        assert RankStrategy().share(0, ctx_for(pop)) == 1.0
+        assert RankStrategy().share(2, ctx_for(pop)) == 0.0
+        assert RankStrategy().share(1, ctx_for(pop)) == pytest.approx(0.5)
 
     def test_rank_degenerate_single_front(self):
         pop = ranked([(0, 1), (1, 0)])
-        assert budget_fraction_rank(0, pop) == 1.0
+        assert RankStrategy().share(0, ctx_for(pop)) == 1.0
 
     @pytest.mark.parametrize("n_gen,expected", [(0, 0.0), (100, 1.0), (25, 0.25)])
     def test_time_fraction(self, n_gen, expected):
         pop = ranked([(0, 1), (1, 0)])
-        assert budget_fraction_time(ctx_for(pop, n_gen=n_gen, max_gen=100)) == expected
+        assert TimeStrategy().share(0, ctx_for(pop, n_gen=n_gen, max_gen=100)) == expected
 
 
 class TestStandardError:
@@ -115,22 +112,22 @@ class TestDecide:
         # nsga2_run gives a static point its n samples one-shot and never asks.
         pop = ranked([(0, 1), (1, 0)])
         with pytest.raises(EvaluationError, match="no per-point resampling decision"):
-            should_resample(StaticStrategy(n=1), ctx_for(pop))
+            should_resample(StaticStrategy(n=1), ctx_for(pop), 0)
 
     def test_time_based_keeps_going_under_cap(self):
         pop = ranked([(0, 1), (1, 0)], counts=[9, 1])
-        ctx = ctx_for(pop, index=0, n_gen=10, max_gen=10)
-        assert should_resample(TimeStrategy(n_max=10), ctx) is True
+        ctx = ctx_for(pop, n_gen=10, max_gen=10)
+        assert should_resample(TimeStrategy(n_max=10), ctx, 0) is True
 
     def test_rank_based_cap_reached(self):
         pop = ranked([(0, 1), (1, 1)], counts=[20, 1])
-        ctx = ctx_for(pop, index=0)
-        assert should_resample(RankStrategy(n_max=20), ctx) is False
+        ctx = ctx_for(pop)
+        assert should_resample(RankStrategy(n_max=20), ctx, 0) is False
 
     def test_arb_requires_context(self):
         pop = ranked([(0, 1), (1, 0)])
         with pytest.raises(EvaluationError):
-            should_resample(ArbStrategy(), ctx_for(pop))
+            should_resample(ArbStrategy(), ctx_for(pop), 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(EvaluationError):
@@ -151,13 +148,13 @@ class TestDecide:
                                           StrengthStrategy(n_max=7)])
     def test_monotone_in_count_and_capped(self, strategy):
         # Once the decision turns False at some count it stays False, and no
-        # budget-fraction strategy lets a point pass n_max evaluations.
+        # budget-share strategy lets a point pass n_max evaluations.
         objs = [(0, 0), (1, 1), (0.5, 2), (2, 0.5)]
         decisions = []
         for count in range(1, 10):
             pop = ranked(objs, counts=[count, 1, 1, 1])
-            ctx = ctx_for(pop, index=0, n_gen=5, max_gen=10)
-            decisions.append(should_resample(strategy, ctx))
+            ctx = ctx_for(pop, n_gen=5, max_gen=10)
+            decisions.append(should_resample(strategy, ctx, 0))
         flips = sum(1 for a, b in zip(decisions, decisions[1:]) if not a and b)
         assert flips == 0
         assert decisions[7:] == [False, False]  # counts 8, 9 exceed any nu * 7
@@ -168,19 +165,19 @@ class TestDecide:
         rng = np.random.default_rng(seed)
         pop = ranked([tuple(v) for v in rng.uniform(0, 1, size=(size, 2))])
         for i in range(size):
-            assert 0.0 <= budget_fraction_rank(i, pop) <= 1.0
-            assert 0.0 <= budget_fraction_strength(i, pop) <= 1.0
+            assert 0.0 <= RankStrategy().share(i, ctx_for(pop)) <= 1.0
+            assert 0.0 <= StrengthStrategy().share(i, ctx_for(pop)) <= 1.0
             assert 0.0 <= all_strengths(pop)[i] <= 1.0
 
     def test_rank_fraction_nonincreasing_in_rank(self):
         pop = ranked([(0, 0), (1, 1), (2, 2), (3, 3)])
-        fractions = [budget_fraction_rank(i, pop) for i in range(4)]
+        fractions = [RankStrategy().share(i, ctx_for(pop)) for i in range(4)]
         assert fractions == sorted(fractions, reverse=True)
 
     def test_nmax_one_degenerates_to_single_evaluation(self):
         # Each strategy refuses a second evaluation when n_max is 1.
         pop = ranked([(0, 0), (1, 1)], counts=[1, 1])
-        ctx = ctx_for(pop, index=0, n_gen=10, max_gen=10)
+        ctx = ctx_for(pop, n_gen=10, max_gen=10)
         for strategy in (TimeStrategy(n_max=1), RankStrategy(n_max=1),
                          StrengthStrategy(n_max=1)):
-            assert should_resample(strategy, ctx) is False
+            assert should_resample(strategy, ctx, 0) is False

@@ -29,8 +29,7 @@ from .problems import (NoiseLaw, NoisyProblem, evaluate_noisy, make_problem, sam
                        true_mean)
 from .resampling import (ArbStrategy, BudgetShare, DecisionContext, RankStrategy,
                          RteaStrategy, SeErrorStrategy, StaticStrategy, StrengthStrategy,
-                         TimeStrategy, sederror_decide, should_resample, strategy_from_dict,
-                         strategy_type)
+                         TimeStrategy, should_resample, strategy_from_dict, strategy_type)
 from .variation import VariationConfig
 
 __version__ = "0.1.0"

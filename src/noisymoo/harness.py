@@ -123,6 +123,9 @@ class StrategyEntry:  # one item of the ``strategies`` config list
                 isinstance(values, list) for values in self.grid.values()):
             raise EvaluationError(f"the {self.kind} grid must map each parameter "
                                   "to a list of values")
+        empty = [key for key, values in sorted(self.grid.items()) if not values]
+        if empty:
+            raise EvaluationError(f"the {self.kind} grid gives {', '.join(empty)} no values")
 
     def combinations(self) -> list[dict]:
         """One strategy mapping, ``kind`` included, per grid combination."""
@@ -562,7 +565,7 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
                        key=lambda pair: (pair[0].setting_key(), pair[0].family,
                                          pair[0].strategy_label, pair[1].replication))
     per_run_rows = [[r.fingerprint, *s.setting_key(),
-                     "rtea" if strategy_type(s.strategy["kind"]).loop == "rtea" else "nsga2",
+                     "rtea" if s.mode == "rtea" else "nsga2",
                      s.mode, s.family, s.strategy_label, r.replication, r.seed, s.budget,
                      s.popsize, r.spent, r.metrics["n_returned"], r.metrics["n_filtered"],
                      float(r.metrics["hv_raw"]), float(r.metrics["hv_normalized"]),

@@ -233,28 +233,32 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
     return RunResult(population=pop, front=final.first_front(), log=ev.log, spent=ev.spent)
 
 
-def _reseat(front: list[EvaluatedPoint], archive: list[EvaluatedPoint],
-            point: EvaluatedPoint) -> None:
+def _reseat(front: list[EvaluatedPoint], point: EvaluatedPoint) -> None:
     """Place ``point`` (new, or a member whose mean moved) so ``front`` stays
-    mutually non-dominated; losers are archived for good. One kernel call over
-    [point, *front]: row and column 0 compare it with each member, itself neutral."""
+    mutually non-dominated; a dominated point or member leaves it for good.
+    One kernel call over [point, *front]: row and column 0 compare it with
+    each member, itself neutral."""
     means = np.array([point.mean] + [f.mean for f in front])
     weak = weak_dominance(means, means)
     if (weak[1:, 0] & ~weak[0, 1:]).any():
         front[:] = [f for f in front if f is not point]
-        archive.append(point)
         return
     expel = weak[0, 1:] & ~weak[1:, 0]
-    archive.extend(f for f, out in zip(front, expel) if out)
     front[:] = [f for f, out in zip(front, expel) if not out]
     if all(f is not point for f in front):
         front.append(point)
 
 
-def _fewest_evaluated(front: list[EvaluatedPoint], rng: np.random.Generator) -> EvaluatedPoint:
-    counts = np.array([f.count for f in front])
-    candidates = np.flatnonzero(counts == counts.min())
-    return front[int(candidates[rng.integers(0, candidates.size)])]
+def _reevaluate_front(ev: Evaluator, front: list[EvaluatedPoint], n: int, iteration: int,
+                      rng: np.random.Generator) -> None:
+    """Spend ``n`` evaluations on the front, each on a least-sampled member
+    (ties by a uniform draw), reseating it after its new sample."""
+    for _ in range(n):
+        counts = np.array([f.count for f in front])
+        candidates = np.flatnonzero(counts == counts.min())
+        target = front[int(candidates[rng.integers(0, candidates.size)])]
+        ev.reevaluate(target, iteration)
+        _reseat(front, target)
 
 
 def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
@@ -269,35 +273,20 @@ def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
     """
     check_run_shape(strategy, None, budget)
     ev = Evaluator(problem, rng, budget)
-    points = ev.spawn_random(strategy.p)
-    ranked = nondominated_sort(points)
-    front = ranked.first_front()
-    archive = [p for p, r in zip(points, ranked.rank) if r != 1]
+    front = nondominated_sort(ev.spawn_random(strategy.p)).first_front()
 
     iteration = 0
     refine = int(round(strategy.z * budget))
-    while ev.remaining > refine:
+    while ev.remaining > refine:  # so the spawn below is never refused
         iteration += 1
         a, b = draw_pair(rng, len(front))
         child_x, _ = make_children(front[a].decision, front[b].decision,
                                    problem.lower, problem.upper, variation, rng)
-        child = ev.spawn(child_x, iteration)
-        if child is None:
-            break
-        _reseat(front, archive, child)
-        for _ in range(strategy.k):
-            if ev.remaining <= refine:
-                break
-            target = _fewest_evaluated(front, rng)
-            if not ev.reevaluate(target, iteration):
-                break
-            _reseat(front, archive, target)
+        _reseat(front, ev.spawn(child_x, iteration))
+        _reevaluate_front(ev, front, min(strategy.k, ev.remaining - refine), iteration, rng)
 
     while ev.remaining > 0:
         iteration += 1
-        target = _fewest_evaluated(front, rng)
-        if not ev.reevaluate(target, iteration):
-            break
-        _reseat(front, archive, target)
+        _reevaluate_front(ev, front, 1, iteration, rng)
 
-    return RunResult(population=front + archive, front=list(front), log=ev.log, spent=ev.spent)
+    return RunResult(population=list(front), front=front, log=ev.log, spent=ev.spent)

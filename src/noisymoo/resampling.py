@@ -91,7 +91,8 @@ class SeErrorStrategy:
     """Resample while the aggregated standard error exceeds a threshold.
 
     ``true_se`` divides the per-objective sample standard deviation by
-    sqrt(N); switching it off uses the plain standard deviation instead.
+    sqrt(N); switching it off uses the plain standard deviation instead. A
+    point seen once has no standard error yet and always gets a second look.
     """
 
     threshold: float = 0.05
@@ -104,6 +105,18 @@ class SeErrorStrategy:
     def __post_init__(self) -> None:
         if self.aggregation not in ("max", "mean"):
             raise EvaluationError("aggregation must be 'max' or 'mean'")
+
+    def standard_error(self, point: EvaluatedPoint) -> float:
+        """Per objective, the unbiased sample standard deviation of ``point``,
+        divided by sqrt(N) when ``true_se`` is set, then the max or mean across
+        objectives. Undefined for N = 1."""
+        n = point.count
+        if n < 2:
+            raise EvaluationError("standard error needs at least two samples")
+        sd = np.std(np.asarray(point.samples), axis=0, ddof=1)
+        if self.true_se:
+            sd = sd / np.sqrt(n)
+        return float(sd.max()) if self.aggregation == "max" else float(sd.mean())
 
 
 @dataclass(frozen=True)
@@ -209,35 +222,6 @@ def all_strengths(pop: RankedPopulation) -> np.ndarray:
     return weak.sum(axis=1) / len(pop)
 
 
-def standard_error(point: EvaluatedPoint, aggregation: str = "max", *,
-                   true_se: bool = True) -> float:
-    """Aggregated per-objective standard error of the mean estimate.
-
-    Per objective: the unbiased sample standard deviation, divided by
-    sqrt(N) when ``true_se`` is set. Aggregation is max or mean across
-    objectives. Undefined for N = 1.
-    """
-    n = point.count
-    if n < 2:
-        raise EvaluationError("standard error needs at least two samples")
-    sd = np.std(np.asarray(point.samples), axis=0, ddof=1)
-    if true_se:
-        sd = sd / np.sqrt(n)
-    return float(sd.max()) if aggregation == "max" else float(sd.mean())
-
-
-def sederror_decide(point: EvaluatedPoint, threshold: float, aggregation: str = "max",
-                    *, true_se: bool = True) -> bool:
-    """True while the standard error stays above the threshold.
-
-    A point seen once has no standard error yet and always gets a second
-    look.
-    """
-    if point.count < 2:
-        return True
-    return standard_error(point, aggregation, true_se=true_se) > threshold
-
-
 def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext, i: int) -> bool:
     """One resampling decision for member ``i`` of the context's population:
     the budget-share rule, the standard-error threshold, or the arb rule,
@@ -247,8 +231,7 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext, i: int) 
     if isinstance(strategy, BudgetShare):
         return point.count < strategy.share(i, ctx) * strategy.n_max
     if isinstance(strategy, SeErrorStrategy):
-        return sederror_decide(point, strategy.threshold, strategy.aggregation,
-                               true_se=strategy.true_se)
+        return point.count < 2 or strategy.standard_error(point) > strategy.threshold
     if isinstance(strategy, ArbStrategy):
         if ctx.front is None or ctx.dispersion is None or ctx.rng is None:
             raise EvaluationError("arb decisions need front, dispersion and rng in the context")

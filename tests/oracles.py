@@ -43,28 +43,22 @@ def brute_weak_dominance(a: np.ndarray, b: np.ndarray, strict: bool = False) -> 
     return out
 
 
-def brute_reseat(front: list, archive: list, point) -> None:
+def brute_reseat(front: list, point) -> None:
     """RTEA's front update under means, one case at a time. A new point is
-    archived if a member dominates it; otherwise it evicts the members it
-    dominates and joins the end. A member whose mean moved is archived if
-    another member dominates it; otherwise it evicts the members it now
-    dominates and keeps its place."""
+    dropped if a member dominates it; otherwise it evicts the members it
+    dominates and joins the end. A member whose mean moved leaves if another
+    member dominates it; otherwise it evicts the members it now dominates and
+    keeps its place."""
     if any(f is point for f in front):
         others = [f for f in front if f is not point]
         if any(brute_dominates(f.mean, point.mean) for f in others):
             front[:] = others
-            archive.append(point)
             return
-        expelled = [f for f in others if brute_dominates(point.mean, f.mean)]
         front[:] = [f for f in front if f is point or not brute_dominates(point.mean, f.mean)]
-        archive.extend(expelled)
         return
     if any(brute_dominates(f.mean, point.mean) for f in front):
-        archive.append(point)
         return
-    expelled = [f for f in front if brute_dominates(point.mean, f.mean)]
     front[:] = [f for f in front if not brute_dominates(point.mean, f.mean)] + [point]
-    archive.extend(expelled)
 
 
 def brute_strengths(objs: np.ndarray) -> np.ndarray:

@@ -160,6 +160,8 @@ BAD_CONFIGS = {
     "n_pf_str": ({"metrics": {"n_pf": "5"}}, "n_pf"),
     "grid_not_list": ({"strategies": [{"kind": "static", "grid": {"n": 7}}]}, "grid"),
     "grid_float_int": ({"strategies": [{"kind": "static", "grid": {"n": [2.0]}}]}, "n"),
+    "grid_empty": ({"strategies": [{"kind": "static", "grid": {"n": []}}, {"kind": "rank"}]},
+                   "the static grid gives n no values"),
     "noise_sd": ({"noise": [{"kind": "gaussian", "sd": 0.5}]}, "sd"),
     "noise_gauss": ({"noise": [{"kind": "gauss", "sigma": 0.5}]}, "gauss"),
     "noise_negative": ({"noise": [{"kind": "gaussian", "sigma": -0.5}]}, "sigma"),

@@ -44,7 +44,7 @@ GOLDEN = {
                         {"noise": {"kind": "gaussian", "sigma": 0.01}, "popsize": 20,
                          "budget": 600}),
     "rtea": ({"kind": "rtea", "k": 1, "z": 0.1, "p": 6}, "rtea",
-             "b75081fdaaff7c3ef895894620b2bf2b5433a71ca87da99971b1d6f3bde35792", {}),
+             "082bb775d7ebe988aedef8a3ed8ed9db61c28e683eb206990b7a222c74ebadb4", {}),
     "uf2_none_static": ({"kind": "static", "n": 2}, "one_shot",
                         "98a281ea96af44d45cb0d2e9481589a7a880ae74f2976a1c3c78cf51d2ec4dab",
                         {"problem": "uf2", "noise": {"kind": "none"}}),

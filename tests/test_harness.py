@@ -172,6 +172,14 @@ class TestRunSingle:
         assert record.spent == 400
         assert len(record.eval_log) == 400
 
+    def test_rtea_final_population_is_its_front(self):
+        # Without noise the front keeps several members, so order counts too.
+        slice_ = RunSlice(problem="uf1", dim=10, noise={"kind": "none"},
+                          strategy={"kind": "rtea", "p": 6}, mode="rtea", popsize=6, budget=300)
+        record = run_single(slice_, 0, 7)
+        assert len(record.returned_set) > 1
+        assert record.final_population == record.returned_set
+
     def test_loaded_record_is_its_file(self, tmp_path):
         slice_ = tiny_config().slices()[0]
         path = tmp_path / "run.json"

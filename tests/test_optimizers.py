@@ -328,17 +328,15 @@ class TestRtea:
         for trial in range(300):
             front = [EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=i)
                      for i in range(rng.integers(1, 13))]
-            archive = [EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=-2)]
             if trial % 2:
                 point = EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=99)
             else:
                 point = front[rng.integers(0, len(front))]
                 point.add_sample(grid())
-            got_front, got_archive = list(front), list(archive)
-            _reseat(got_front, got_archive, point)
-            brute_reseat(front, archive, point)
+            got_front = list(front)
+            _reseat(got_front, point)
+            brute_reseat(front, point)
             assert [id(p) for p in got_front] == [id(p) for p in front]
-            assert [id(p) for p in got_archive] == [id(p) for p in archive]
 
 
 class TestEvaluator:

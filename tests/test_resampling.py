@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from noisymoo.pareto import EvaluatedPoint, EvaluationError, nondominated_sort
 from noisymoo.resampling import (ArbStrategy, DecisionContext, RankStrategy,
                                  SeErrorStrategy, StaticStrategy, StrengthStrategy,
-                                 TimeStrategy, all_strengths, sederror_decide, should_resample,
-                                 standard_error, strategy_from_dict)
+                                 TimeStrategy, all_strengths, should_resample,
+                                 strategy_from_dict)
 
 from .oracles import brute_strengths
 
@@ -81,30 +81,37 @@ class TestRankAndTime:
         assert TimeStrategy().share(0, ctx_for(pop, n_gen=n_gen, max_gen=100)) == expected
 
 
+def se_decide(pt, threshold, aggregation="max"):
+    strategy = SeErrorStrategy(threshold=threshold, aggregation=aggregation)
+    return should_resample(strategy, ctx_for(nondominated_sort([pt])), 0)
+
+
 class TestStandardError:
     def test_identical_samples_zero_error(self):
         pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(1, 1)] * 4)
-        assert sederror_decide(pt, 0.001) is False
+        assert se_decide(pt, 0.001) is False
 
     def test_single_sample_forces_second_look(self):
         pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(1, 1)])
-        assert sederror_decide(pt, 1e9) is True
+        assert se_decide(pt, 1e9) is True
 
     def test_hand_computed_threshold_boundary(self):
         # per-objective samples {0, 2}: sd = sqrt(2), se = 1; not > 1
         pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(0, 0), vec(2, 2)])
-        assert standard_error(pt, "max") == pytest.approx(1.0)
-        assert sederror_decide(pt, 1.0, "max") is False
-        assert sederror_decide(pt, 0.999, "max") is True
+        assert SeErrorStrategy(aggregation="max").standard_error(pt) == pytest.approx(1.0)
+        assert se_decide(pt, 1.0, "max") is False
+        assert se_decide(pt, 0.999, "max") is True
 
     def test_verbatim_variant_skips_sqrt_n(self):
         pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(0, 0), vec(2, 2)])
-        assert standard_error(pt, "max", true_se=False) == pytest.approx(np.sqrt(2))
+        strategy = SeErrorStrategy(aggregation="max", true_se=False)
+        assert strategy.standard_error(pt) == pytest.approx(np.sqrt(2))
 
     def test_mean_aggregation(self):
         pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(0, 0), vec(2, 4)])
         sds = np.std([[0, 0], [2, 4]], axis=0, ddof=1)
-        assert standard_error(pt, "mean") == pytest.approx(sds.mean() / np.sqrt(2))
+        assert SeErrorStrategy(aggregation="mean").standard_error(pt) == pytest.approx(
+            sds.mean() / np.sqrt(2))
 
 
 class TestDecide:

@@ -20,6 +20,7 @@ exactly its file.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 import json
@@ -31,7 +32,7 @@ import numpy as np
 
 from .metrics import MetricParams, _nadir, score_final_set
 from .optimizers import check_run_shape, nsga2_run, rtea_run
-from .pareto import EvaluationError, from_mapping
+from .pareto import EvaluationError, from_mapping, require_at_least
 from .problems import NOISE_KINDS, NoiseLaw, make_problem, sample_true_pf
 from .resampling import ResamplingStrategy, strategy_from_dict, strategy_type
 from .variation import VariationConfig
@@ -108,9 +109,7 @@ class SelectionParams:  # the ``selection`` config mapping, with its defaults
     prestudy_budget: int = 2000
 
     def __post_init__(self) -> None:
-        for name in ("n_select", "n_compare", "n_repeats"):
-            if getattr(self, name) < 1:
-                raise EvaluationError(f"selection {name} must be at least 1")
+        require_at_least(self, 1, "n_select", "n_compare", "n_repeats", what="selection ")
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,8 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        for name, least in (("replications", 1), ("base_seed", 0)):
-            if getattr(self, name) < least:
-                raise EvaluationError(f"{name} must be at least {least}")
+        require_at_least(self, 1, "replications")
+        require_at_least(self, 0, "base_seed")
         for name in ("problems", "noise", "strategies"):
             if not isinstance(getattr(self, name), list) or not getattr(self, name):
                 raise EvaluationError(f"{name} must be a nonempty list")
@@ -543,14 +541,10 @@ AGGREGATE_HEADER = ["problem", "noise_kind", "df", "sigma", "family", "strategy"
                     "igd_sd"]
 
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """One header row, then ``rows``; a field holding a comma is quoted."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:

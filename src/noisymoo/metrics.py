@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .pareto import EvaluatedPoint, EvaluationError, dominance_matrix
+from .pareto import EvaluatedPoint, EvaluationError, dominance_matrix, require_at_least
 from .problems import NoisyProblem, sample_true_pf
 
 
@@ -26,10 +26,8 @@ class MetricParams:
 
     def __post_init__(self) -> None:
         # The bounds sample_true_pf and igd_p enforce, checked before any run.
-        if self.n_pf < 2:
-            raise EvaluationError("metrics n_pf must be at least 2")
-        if self.igd_power < 1:
-            raise EvaluationError("metrics igd_power must be at least 1")
+        require_at_least(self, 2, "n_pf", what="metrics ")
+        require_at_least(self, 1, "igd_power", what="metrics ")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 Rolling Tide EA for RTEA, both under a strict shared evaluation budget.
 
 Every objective-function call goes through one :class:`Evaluator`, which
-counts the evaluations spent against the budget and keeps the evaluation
-log; an optimizer can therefore never overspend, and two runs with the
-same seed replay the same log. When the budget runs out mid-generation the
-remaining evaluations are simply skipped and the generation finishes with
-whatever samples exist.
+counts the evaluations spent and keeps the evaluation log, so two runs with
+the same seed replay the same log. An evaluation past the budget raises, so
+each loop bounds its own spend with :attr:`Evaluator.remaining` and spends
+the budget exactly; once it runs out mid-generation, NSGA-II skips the
+generation's remaining evaluations and finishes it with the samples it has.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ class Evaluator:
 
     Spawning computes a new point's ``true_mean`` (raising, before any
     charge, if it is out of bounds) and evaluates it once; re-evaluating
-    appends one more sample, one noise draw added to that kept mean. Both
-    return nothing useful once ``spent`` reaches ``budget``, so callers can
-    keep asking and stop when refused.
+    appends one more sample, one noise draw added to that kept mean. An
+    evaluation asked for once ``spent`` reaches ``budget`` raises
+    :class:`EvaluationError` before any draw or charge: the log, ``spent``,
+    the uid counter and the random stream stay as they were.
     """
 
     def __init__(self, problem: NoisyProblem, rng: np.random.Generator, budget: int):
@@ -52,32 +53,23 @@ class Evaluator:
         """One row per evaluation so far, in order: uid, generation, sample."""
         return self._log[: self.spent]
 
-    def spawn(self, x: np.ndarray, generation: int) -> EvaluatedPoint | None:
-        if self.remaining <= 0:
-            return None
-        mean = true_mean(self.problem, x)
-        point = EvaluatedPoint(decision=x, uid=self._next_uid, true_mean=mean)
+    def _afford(self, n: int) -> None:
+        if n > self.remaining:
+            raise EvaluationError(f"{n} evaluation(s) asked for, {self.remaining} left")
+
+    def spawn(self, x: np.ndarray, generation: int) -> EvaluatedPoint:
+        point = EvaluatedPoint(decision=x, uid=self._next_uid, true_mean=true_mean(self.problem, x))
+        self.reevaluate(point, generation)
         self._next_uid += 1
-        self._observe(point, generation)
         return point
 
     def spawn_random(self, n: int) -> list[EvaluatedPoint]:
-        """Spawn up to ``n`` uniform random points in generation 0; stop at the first refusal."""
-        points: list[EvaluatedPoint] = []
-        for _ in range(n):
-            point = self.spawn(self.problem.random_decision(self.rng), 0)
-            if point is None:
-                break
-            points.append(point)
-        return points
+        """Spawn ``n`` uniform random points in generation 0, or raise before the first."""
+        self._afford(n)
+        return [self.spawn(self.problem.random_decision(self.rng), 0) for _ in range(n)]
 
-    def reevaluate(self, point: EvaluatedPoint, generation: int) -> bool:
-        if self.remaining <= 0:
-            return False
-        self._observe(point, generation)
-        return True
-
-    def _observe(self, point: EvaluatedPoint, generation: int) -> None:
+    def reevaluate(self, point: EvaluatedPoint, generation: int) -> None:
+        self._afford(1)
         y = evaluate_noisy(self.problem, point.true_mean, self.rng)
         point.add_sample(y)
         row = self._log[self.spent]
@@ -145,8 +137,7 @@ def _initialize_arb(ev: Evaluator, strategy: ArbStrategy,
     order = np.lexsort((-ranked.crowding, ranked.rank))  # ties by index
     dispersion = DispersionSet(capacity=strategy.capacity)
     for i in order[: strategy.seed_size]:
-        if not ev.reevaluate(points[i], 0):
-            break
+        ev.reevaluate(points[i], 0)
         push_newest_residual(dispersion, points[i])
     return environmental_select(points, popsize), dispersion
 
@@ -196,8 +187,8 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
         pop = ev.spawn_random(popsize)
         if one_shot:
             for pt in pop:
-                while pt.count < strategy.n and ev.reevaluate(pt, 0):
-                    pass
+                while pt.count < strategy.n and ev.remaining > 0:
+                    ev.reevaluate(pt, 0)
 
     max_gen = max(1, budget // popsize)
     gen = 0
@@ -211,12 +202,12 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
             children = make_children(pop[a].decision, pop[b].decision,
                                      problem.lower, problem.upper, variation, rng)
             for x in children[: popsize - len(offspring)]:
-                child = ev.spawn(x, gen)
-                if child is None:
+                if ev.remaining == 0:  # the first child's top-up may have spent it
                     break
+                child = ev.spawn(x, gen)
                 offspring.append(child)
-                while one_shot and child.count < strategy.n and ev.reevaluate(child, gen):
-                    pass
+                while one_shot and child.count < strategy.n and ev.remaining > 0:
+                    ev.reevaluate(child, gen)
         combined = pop + offspring
         if not one_shot:
             ranked = nondominated_sort(combined)
@@ -225,8 +216,10 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
             for i, point in enumerate(combined):
                 if ev.remaining <= 0:
                     break
-                if should_resample(strategy, ctx, i) and ev.reevaluate(point, gen) and arb:
-                    push_newest_residual(dispersion, point)
+                if should_resample(strategy, ctx, i):
+                    ev.reevaluate(point, gen)
+                    if arb:
+                        push_newest_residual(dispersion, point)
         pop = environmental_select(combined, popsize)
 
     final = nondominated_sort(pop)
@@ -277,7 +270,7 @@ def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
 
     iteration = 0
     refine = int(round(strategy.z * budget))
-    while ev.remaining > refine:  # so the spawn below is never refused
+    while ev.remaining > refine:  # so the spawn below never overspends
         iteration += 1
         a, b = draw_pair(rng, len(front))
         child_x, _ = make_children(front[a].decision, front[b].decision,

@@ -45,6 +45,14 @@ def from_mapping(cls, raw: dict, what: str):
     return cls(**raw)
 
 
+def require_at_least(obj, least: int, *names: str, what: str = "") -> None:
+    """Raise :class:`EvaluationError` naming the first of the attributes
+    ``names`` of ``obj`` whose value is below ``least``."""
+    for name in names:
+        if getattr(obj, name) < least:
+            raise EvaluationError(f"{what}{name} must be at least {least}, got {getattr(obj, name)}")
+
+
 def weak_dominance(a: np.ndarray, b: np.ndarray, *, strict: bool = False) -> np.ndarray:
     """The kernel: out[i, j] is True iff row i of ``a`` is <= row j of ``b``
     in every objective (< with ``strict``), one comparison per objective.

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bootstrap
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation, from_mapping,
-                     weak_dominance)
+                     require_at_least, weak_dominance)
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,9 @@ class StaticStrategy:
     family: ClassVar[str] = "static"
     loop: ClassVar[str] = "one_shot"
 
+    def __post_init__(self) -> None:
+        require_at_least(self, 1, "n")
+
 
 @dataclass(frozen=True)
 class BudgetShare:
@@ -42,6 +45,9 @@ class BudgetShare:
     n_max: int = 10
     family: ClassVar[str] = "dynamic"
     loop: ClassVar[str] = "sequential"
+
+    def __post_init__(self) -> None:
+        require_at_least(self, 1, "n_max")
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,7 @@ class ArbStrategy:
             raise EvaluationError("alpha_l must lie in (0, 0.5]")
         if not 0.5 < self.alpha_u <= 1.0:
             raise EvaluationError("alpha_u must lie in (0.5, 1]")
+        require_at_least(self, 1, "n_boot", "capacity", "seed_size")
 
     def side(self, p: float) -> int:
         """-1 below alpha_l, +1 above alpha_u, 0 inside the band."""
@@ -168,8 +175,7 @@ class RteaStrategy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.z < 1.0:
             raise EvaluationError("refinement fraction must lie in [0, 1)")
-        if self.k < 1:
-            raise EvaluationError("k must be at least 1")
+        require_at_least(self, 1, "k")
 
 
 ResamplingStrategy = Union[StaticStrategy, TimeStrategy, RankStrategy,

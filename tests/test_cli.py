@@ -128,6 +128,7 @@ def test_seed_flag_is_gone(command, config_path, tmp_path):
 
 
 DROP = object()  # a config edit value that deletes the key
+SMALL_ARB = {"init_popsize": [8], "seed_size": [6], "capacity": [20]}  # the fixture's arb
 
 # id -> (config edit, the key the error line must name)
 BAD_CONFIGS = {
@@ -188,6 +189,18 @@ BAD_CONFIGS = {
     "arb_default_twice": ({"strategies": [{"kind": "arb"},
                                           {"kind": "arb", "grid": {"alpha_l": [0.2]}}]},
                           "strategies arb() and arb(alpha_l=0.2) are the same strategy"),
+    "static_n_negative": ({"strategies": [{"kind": "static", "grid": {"n": [-3]}}]},
+                          "n must be at least 1, got -3"),
+    "time_n_max_zero": ({"strategies": [{"kind": "time", "grid": {"n_max": [0]}}]},
+                        "n_max must be at least 1, got 0"),
+    "arb_n_boot_zero": ({"strategies": [{"kind": "arb", "grid": {**SMALL_ARB, "n_boot": [0]}}]},
+                        "n_boot must be at least 1, got 0"),
+    "arb_capacity_zero": ({"strategies": [{"kind": "arb",
+                                           "grid": {**SMALL_ARB, "capacity": [0]}}]},
+                          "capacity must be at least 1, got 0"),
+    "arb_seed_size_zero": ({"strategies": [{"kind": "arb",
+                                            "grid": {**SMALL_ARB, "seed_size": [0]}}]},
+                           "seed_size must be at least 1, got 0"),
     "popsize_odd": ({"popsize": 7}, "popsize"),
     "base_seed_negative": ({"base_seed": -1}, "base_seed"),
     "n_select_zero": ({"selection": {**SELECTION, "n_select": 0}}, "n_select"),

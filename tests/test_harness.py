@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ from noisymoo.harness import (AGGREGATE_HEADER, PER_RUN_HEADER, ExperimentConfig
                               run_single, select_params_prestudy, select_params_split,
                               sweep, write_record)
 from noisymoo.pareto import EvaluationError
+from noisymoo.resampling import strategy_type
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
@@ -374,6 +376,27 @@ class TestReport:
         raw = report(records, tmp_path)[0].read_bytes()
         assert b"\r" not in raw
         assert raw.decode("utf-8").endswith("\n")
+
+    def test_strategy_labels_with_commas_keep_the_header_width(self, tmp_path):
+        strategies = [{"kind": "arb", "alpha_l": 0.2, "alpha_u": 0.9, "seed_size": 6},
+                      {"kind": "rtea", "k": 1, "p": 6, "z": 0.1}]
+        slices = [RunSlice(problem="uf1", dim=10, noise={"kind": "none"}, strategy=spec,
+                           mode=strategy_type(spec["kind"]).loop, popsize=6, budget=300)
+                  for spec in strategies]
+        records = [RunRecord(fingerprint=s.fingerprint, slice=s.as_dict(), replication=rep,
+                             seed=rep, spent=300, eval_log=[], final_population=[],
+                             returned_set=[], metrics={"hv_normalized": 0.5, "hv_raw": 0.5,
+                                                       "igd": 0.5, "n_returned": 1,
+                                                       "n_filtered": 1})
+                   for s in slices for rep in range(2)]
+        for path, header in zip(report(records, tmp_path), (PER_RUN_HEADER, AGGREGATE_HEADER)):
+            with path.open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == header and len(rows) > 1
+            assert all(len(row) == len(header) for row in rows)
+            labels = {row[header.index("strategy")] for row in rows[1:]}
+            assert labels == {s.strategy_label for s in slices}
+            assert "arb(alpha_l=0.2,alpha_u=0.9,seed_size=6)" in labels
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(EvaluationError):

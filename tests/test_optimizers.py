@@ -340,15 +340,32 @@ class TestRtea:
 
 
 class TestEvaluator:
-    def test_refuses_beyond_cap(self):
-        problem = make_problem("uf1")
+    @staticmethod
+    def _state(ev):
+        return ev.spent, ev.log.copy(), ev._next_uid, ev.rng.bit_generator.state
+
+    @staticmethod
+    def _assert_unchanged(ev, before):
+        spent, log, next_uid, rng_state = before
+        assert ev.spent == spent and ev._next_uid == next_uid
+        assert np.array_equal(ev.log, log)
+        assert ev.rng.bit_generator.state == rng_state
+
+    def test_raises_beyond_cap_and_changes_nothing(self):
+        problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
         rng = np.random.default_rng(0)
         ev = Evaluator(problem, rng, budget=2)
         a = ev.spawn(problem.random_decision(rng), 0)
-        assert ev.reevaluate(a, 0) is True
-        assert ev.reevaluate(a, 0) is False
-        assert ev.spawn(problem.random_decision(rng), 0) is None
-        assert ev.spent == 2
+        ev.reevaluate(a, 0)
+        assert ev.spent == ev.budget == 2 and a.count == 2
+        x = problem.random_decision(rng)
+        before = self._state(ev)
+        for overspend in (lambda: ev.spawn(x, 1), lambda: ev.reevaluate(a, 1),
+                          lambda: ev.spawn_random(1)):
+            with pytest.raises(EvaluationError, match="1 evaluation"):
+                overspend()
+            self._assert_unchanged(ev, before)
+        assert a.count == 2
 
     def test_refused_spawn_charges_nothing(self):
         problem = make_problem("uf1")
@@ -361,12 +378,15 @@ class TestEvaluator:
         assert point.uid == 0
         assert ev.spent == len(ev.log) == 1
 
-    def test_spawn_random_draws_then_spawns_until_refused(self):
+    def test_spawn_random_draws_then_spawns_or_raises_first(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
         ev = Evaluator(problem, np.random.default_rng(3), budget=4)
-        points = ev.spawn_random(6)
-        assert [p.uid for p in points] == [0, 1, 2, 3] and ev.spent == 4
-        assert ev.spawn_random(2) == [] and ev.spent == len(ev.log) == 4
+        before = self._state(ev)
+        with pytest.raises(EvaluationError, match="6 evaluation"):
+            ev.spawn_random(6)
+        self._assert_unchanged(ev, before)
+        points = ev.spawn_random(4)
+        assert [p.uid for p in points] == [0, 1, 2, 3] and ev.spent == len(ev.log) == 4
         rng = np.random.default_rng(3)
         twin = Evaluator(problem, rng, budget=4)
         for _ in range(4):

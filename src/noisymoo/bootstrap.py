@@ -3,9 +3,10 @@
 The pieces, bottom to top:
 
 * ``DispersionSet`` — a sliding pool of scaled, mean-centered residual
-  vectors harvested from recently re-evaluated points. Under the working
-  assumption that dispersion is roughly homogeneous across the decision
-  space, this pool lends variability to points observed only once.
+  vectors: in an arb run the optimizers' ``Evaluator`` pushes the newest
+  one of every re-evaluation. Under the working assumption that dispersion
+  is roughly homogeneous across the decision space, this pool lends
+  variability to points observed only once.
 * ``bootstrap_means`` — bootstrap replicates of a point's sample mean from
   its own samples, rescaled by sqrt(N / (N - 1)) so the replicate variance
   matches the unbiased estimate s^2 / N instead of undershooting it.
@@ -83,18 +84,6 @@ class DispersionSet:
             raw = np.asarray(self._entries)
             self._centered = raw - raw.mean(axis=0)
         return self._centered
-
-
-def push_newest_residual(dispersion: DispersionSet, point: EvaluatedPoint) -> None:
-    """Append only the latest sample's scaled residual.
-
-    This is what the optimizer loop uses after each re-evaluation, so the
-    pool always holds the most recently observed errors, one per extra
-    evaluation.
-    """
-    if point.count < 2:
-        raise EvaluationError("residuals require at least two samples")
-    dispersion.push(point.scaled_residuals()[-1])
 
 
 def bootstrap_means(point: EvaluatedPoint, n_draws: int, rng: np.random.Generator) -> np.ndarray:

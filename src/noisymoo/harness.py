@@ -202,8 +202,8 @@ class ExperimentConfig:
             raise EvaluationError(f"expected a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         version = raw.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise EvaluationError(f"unsupported config schema version {version}")
+        if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1
+            raise EvaluationError(f"unsupported config schema_version {version!r}")
         return from_mapping(cls, raw, "config key")
 
     @classmethod

@@ -25,7 +25,8 @@ class MetricParams:
     igd_power: float = 2.0
 
     def __post_init__(self) -> None:
-        # The bounds sample_true_pf and igd_p enforce, checked before any run.
+        # The bounds nadir, sample_true_pf and igd_p need, checked before any run.
+        require_at_least(self, 0, "nadir_delta", what="metrics ")
         require_at_least(self, 2, "n_pf", what="metrics ")
         require_at_least(self, 1, "igd_power", what="metrics ")
 

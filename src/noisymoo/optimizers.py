@@ -3,11 +3,12 @@
 Rolling Tide EA for RTEA, both under a strict shared evaluation budget.
 
 Every objective-function call goes through one :class:`Evaluator`, which
-counts the evaluations spent and keeps the evaluation log, so two runs with
-the same seed replay the same log. An evaluation past the budget raises, so
-each loop bounds its own spend with :attr:`Evaluator.remaining` and spends
-the budget exactly; once it runs out mid-generation, NSGA-II skips the
-generation's remaining evaluations and finishes it with the samples it has.
+counts the evaluations spent, keeps the log that two runs with the same
+seed replay, and in an arb run feeds each re-evaluation's residual to the
+dispersion pool. An evaluation past the budget raises, so each loop bounds
+its own spend with :attr:`Evaluator.remaining` and spends the budget
+exactly; once it runs out mid-generation, NSGA-II skips the generation's
+remaining evaluations and finishes it with the samples it has.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import DispersionSet, push_newest_residual
+from .bootstrap import DispersionSet
 from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
                      nondominated_sort, weak_dominance)
 from .problems import NoisyProblem, evaluate_noisy, true_mean
@@ -30,16 +31,19 @@ class Evaluator:
 
     Spawning computes a new point's ``true_mean`` (raising, before any
     charge, if it is out of bounds) and evaluates it once; re-evaluating
-    appends one more sample, one noise draw added to that kept mean. An
-    evaluation asked for once ``spent`` reaches ``budget`` raises
+    appends one more sample, one noise draw added to that kept mean, and
+    pushes its scaled residual into the ``dispersion`` pool of an arb run.
+    An evaluation asked for once ``spent`` reaches ``budget`` raises
     :class:`EvaluationError` before any draw or charge: the log, ``spent``,
     the uid counter and the random stream stay as they were.
     """
 
-    def __init__(self, problem: NoisyProblem, rng: np.random.Generator, budget: int):
+    def __init__(self, problem: NoisyProblem, rng: np.random.Generator, budget: int,
+                 dispersion: DispersionSet | None = None):
         self.problem = problem
         self.rng = rng
         self.budget = budget
+        self.dispersion = dispersion
         self.spent = 0
         self._log = np.empty((budget, 2 + problem.n_objectives))
         self._next_uid = 0
@@ -75,6 +79,8 @@ class Evaluator:
         row = self._log[self.spent]
         row[0], row[1], row[2:] = point.uid, generation, y
         self.spent += 1
+        if self.dispersion is not None and point.count > 1:  # a spawn pushes nothing
+            self.dispersion.push(point.scaled_residuals()[-1])
 
 
 @dataclass
@@ -127,19 +133,16 @@ def environmental_select(points: list[EvaluatedPoint], popsize: int) -> list[Eva
     return [points[i] for i in keep]
 
 
-def _initialize_arb(ev: Evaluator, strategy: ArbStrategy,
-                    popsize: int) -> tuple[list[EvaluatedPoint], DispersionSet]:
+def _initialize_arb(ev: Evaluator, strategy: ArbStrategy, popsize: int) -> list[EvaluatedPoint]:
     # Oversized first generation: everyone evaluated once, the best
     # `seed_size` (NSGA-II criterion) a second time so their residuals seed
     # the dispersion pool, then truncate to the working population size.
     points = ev.spawn_random(strategy.init_popsize)
     ranked = nondominated_sort(points)
     order = np.lexsort((-ranked.crowding, ranked.rank))  # ties by index
-    dispersion = DispersionSet(capacity=strategy.capacity)
     for i in order[: strategy.seed_size]:
         ev.reevaluate(points[i], 0)
-        push_newest_residual(dispersion, points[i])
-    return environmental_select(points, popsize), dispersion
+    return environmental_select(points, popsize)
 
 
 def check_run_shape(strategy: ResamplingStrategy, popsize: int | None, budget: int) -> None:
@@ -179,10 +182,9 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
     arb = isinstance(strategy, ArbStrategy)
     one_shot = strategy.loop == "one_shot"
 
-    ev = Evaluator(problem, rng, budget)
-    dispersion: DispersionSet | None = None
+    ev = Evaluator(problem, rng, budget, DispersionSet(strategy.capacity) if arb else None)
     if arb:
-        pop, dispersion = _initialize_arb(ev, strategy, popsize)
+        pop = _initialize_arb(ev, strategy, popsize)
     else:
         pop = ev.spawn_random(popsize)
         if one_shot:
@@ -212,14 +214,12 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
         if not one_shot:
             ranked = nondominated_sort(combined)
             ctx = DecisionContext(population=ranked, n_gen=min(gen, max_gen), max_gen=max_gen,
-                                  front=ranked.first_front(), dispersion=dispersion, rng=rng)
+                                  front=ranked.first_front(), dispersion=ev.dispersion, rng=rng)
             for i, point in enumerate(combined):
                 if ev.remaining <= 0:
                     break
                 if should_resample(strategy, ctx, i):
                     ev.reevaluate(point, gen)
-                    if arb:
-                        push_newest_residual(dispersion, point)
         pop = environmental_select(combined, popsize)
 
     final = nondominated_sort(pop)

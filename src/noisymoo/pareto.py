@@ -20,12 +20,12 @@ class EvaluationError(ValueError):
 
 
 def from_mapping(cls, raw: dict, what: str):
-    """``cls(**raw)`` for a dataclass ``cls``. Raises
-    :class:`EvaluationError` if the config mapping ``raw`` is not a mapping,
-    naming every key that is not an init field of ``cls``, every
-    required field it lacks, and the first value whose type is not that of
-    its field's ``bool``, ``int``, ``float`` or ``str`` default (a ``float``
-    field also takes an ``int``; a ``bool`` is no ``int``)."""
+    """``cls(**raw)`` for a dataclass ``cls``. Raises :class:`EvaluationError`
+    if the config mapping ``raw`` is not a mapping, naming every key that is
+    not an init field of ``cls``, every required field it lacks, and the
+    first value whose type is not that of its field's ``bool``, ``int``,
+    ``float`` or ``str`` default (a ``float`` field also takes an ``int``,
+    but no NaN or infinity; a ``bool`` is no ``int``)."""
     if not isinstance(raw, dict):
         raise EvaluationError(f"expected a mapping of {what}s, got {type(raw).__name__}")
     init = [f for f in fields(cls) if f.init]
@@ -37,11 +37,14 @@ def from_mapping(cls, raw: dict, what: str):
     if missing:
         raise EvaluationError(f"missing {what}(s): {', '.join(missing)}")
     for f in init:
-        want, got = type(f.default), type(raw.get(f.name, f.default))
+        value = raw.get(f.name, f.default)
+        want, got = type(f.default), type(value)
         if want in (bool, int, float, str) and got is not want \
                 and not (want is float and got is int):
             raise EvaluationError(f"{what} {f.name} must be {want.__name__}, "
                                   f"got {got.__name__}")
+        if got is float and not np.isfinite(value):
+            raise EvaluationError(f"{what} {f.name} must be finite, got {value}")
     return cls(**raw)
 
 

@@ -204,7 +204,8 @@ class DecisionContext:
     * ``rank``: ``population.rank``, which no re-evaluation moves;
     * ``strength``: the live means (``population.means`` is rebuilt per call);
     * ``arb``: the live means and samples of the point and of the front
-      members, and the live dispersion pool;
+      members, and the live dispersion pool, which the run's ``Evaluator``
+      feeds on every re-evaluation;
     * ``time``: only ``n_gen``/``max_gen``; ``sederror``: only the point.
     """
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from noisymoo import bootstrap
 from noisymoo.bootstrap import (DispersionSet, arb_decide, bootstrap_means,
                                 bootstrap_means_pooled, bootstrap_means_stacked,
-                                dominance_probability, push_newest_residual)
+                                dominance_probability)
+from noisymoo.optimizers import Evaluator
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
+from noisymoo.problems import NoiseLaw, make_problem
 from noisymoo.resampling import ArbStrategy
 
 from .oracles import brute_bootstrap_means_pooled, brute_dominance_probability
@@ -22,12 +24,38 @@ def point(*samples):
     return EvaluatedPoint(decision=np.zeros(2), samples=[vec(*s) for s in samples])
 
 
+def pooled_evaluator(capacity=100, noise=None, budget=10):
+    problem = make_problem("uf1", noise=noise)
+    return Evaluator(problem, np.random.default_rng(0), budget, DispersionSet(capacity))
+
+
+def reevaluated(ev, first, true_mean):
+    """A point whose first sample is ``first``, re-evaluated once by ``ev``
+    on a noise-free problem, so its second sample is ``true_mean``."""
+    pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(*first)], true_mean=vec(*true_mean))
+    ev.reevaluate(pt, 0)
+    return pt
+
+
+def replay_pool(log, capacity):
+    """The pool an evaluation log should leave: the newest scaled residual
+    of every evaluation that is not a point's first, the last ``capacity`` kept."""
+    samples, pushed = {}, []
+    for row in log:
+        seen = samples.setdefault(int(row[0]), [])
+        seen.append(row[2:])
+        n = len(seen)
+        if n > 1:
+            pushed.append(np.sqrt(n / (n - 1)) * (seen[-1] - np.mean(seen, axis=0)))
+    return np.asarray(pushed[-capacity:]).reshape(-1, log.shape[1] - 2)
+
+
 class TestDispersionSet:
     def test_push_residuals_scales_by_count_factor(self):
-        ds = DispersionSet()
-        push_newest_residual(ds, point((0, 0), (2, 2)))
-        push_newest_residual(ds, point((2, 2), (0, 0)))
-        raw = sorted(tuple(e) for e in np.asarray(ds._entries))
+        ev = pooled_evaluator()
+        reevaluated(ev, (0, 0), (2, 2))
+        reevaluated(ev, (2, 2), (0, 0))
+        raw = sorted(tuple(e) for e in np.asarray(ev.dispersion._entries))
         r2 = np.sqrt(2)
         assert raw == [(-r2, -r2), (r2, r2)]
 
@@ -47,15 +75,33 @@ class TestDispersionSet:
         assert np.allclose(ds.centered().mean(axis=0), 0.0, atol=1e-12)
 
     def test_single_observation_rejected(self):
-        with pytest.raises(EvaluationError):
-            push_newest_residual(DispersionSet(), point((1, 1)))
+        ev = pooled_evaluator(noise=NoiseLaw(kind="gaussian", sigma=0.5))
+        pt = ev.spawn(ev.problem.random_decision(ev.rng), 0)
+        assert pt.count == 1 and len(ev.dispersion) == 0
 
     def test_newest_residual_is_latest_sample(self):
-        ds = DispersionSet()
-        pt = point((0, 0), (2, 2))
-        push_newest_residual(ds, pt)
-        assert len(ds) == 1
-        assert np.allclose(ds._entries[0], np.sqrt(2) * (vec(2, 2) - vec(1, 1)))
+        ev = pooled_evaluator()
+        reevaluated(ev, (0, 0), (2, 2))
+        assert len(ev.dispersion) == 1
+        assert np.allclose(ev.dispersion._entries[0], np.sqrt(2) * (vec(2, 2) - vec(1, 1)))
+
+    @pytest.mark.parametrize("capacity", [1, 5, 100])
+    @pytest.mark.parametrize("noise", [NoiseLaw(), NoiseLaw(kind="gaussian", sigma=0.5),
+                                       NoiseLaw(kind="chisq", df=1, sigma=1.0)],
+                             ids=["none", "gaussian", "chisq"])
+    def test_pool_replays_the_evaluation_log(self, noise, capacity):
+        for seed in range(4):
+            ev = pooled_evaluator(capacity, noise, budget=150)
+            choice = np.random.default_rng(seed)
+            points = []
+            while ev.remaining > 0:
+                if not points or choice.random() < 0.3:
+                    points.append(ev.spawn(ev.problem.random_decision(ev.rng), 0))
+                else:
+                    ev.reevaluate(points[choice.integers(0, len(points))], 0)
+            pool = np.asarray(ev.dispersion._entries).reshape(-1, 2)
+            expected = replay_pool(ev.log, capacity)
+            assert pool.shape == expected.shape and pool.tobytes() == expected.tobytes()
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
                     min_size=1, max_size=150))

@@ -201,6 +201,18 @@ BAD_CONFIGS = {
     "arb_seed_size_zero": ({"strategies": [{"kind": "arb",
                                             "grid": {**SMALL_ARB, "seed_size": [0]}}]},
                            "seed_size must be at least 1, got 0"),
+    "noise_sigma_nan": ({"noise": [{"kind": "gaussian", "sigma": float("nan")}]},
+                        "noise key sigma must be finite, got nan"),
+    "noise_sigma_inf": ({"noise": [{"kind": "gaussian", "sigma": float("inf")}]},
+                        "noise key sigma must be finite, got inf"),
+    "metrics_igd_power_nan": ({"metrics": {"igd_power": float("nan")}},
+                              "metrics key igd_power must be finite, got nan"),
+    "sederror_threshold_nan": ({"strategies": [{"kind": "sederror",
+                                                "grid": {"threshold": [float("nan")]}}]},
+                               "sederror parameter threshold must be finite, got nan"),
+    "nadir_delta_negative": ({"metrics": {"nadir_delta": -0.7}},
+                             "metrics nadir_delta must be at least 0, got -0.7"),
+    "schema_version_true": ({"schema_version": True}, "unsupported config schema_version True"),
     "popsize_odd": ({"popsize": 7}, "popsize"),
     "base_seed_negative": ({"base_seed": -1}, "base_seed"),
     "n_select_zero": ({"selection": {**SELECTION, "n_select": 0}}, "n_select"),

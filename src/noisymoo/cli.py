@@ -9,8 +9,8 @@ value of the wrong type or out of range, a repeated grid entry, a run shape
 NSGA-II refuses) is one line on stderr and exit 2, before anything runs or
 is written; so is any other :class:`EvaluationError` a command raises, among
 them a ``run --rep`` outside the replications, a ``sweep --jobs`` below 1,
-or a record made under another base seed or metrics. The output root is
---out, else the config's output_dir; each run's seed derives from base_seed.
+or a record damaged or made under another base seed or metrics. The output
+root is --out, else the config's output_dir; each seed derives from base_seed.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .harness import (ExperimentConfig, derive_seed, load_records, record_path, report,
-                      run_single, select_params_prestudy, select_params_split, sweep,
-                      write_record)
+                      run_single, select_params_prestudy, select_params_split,
+                      strategy_label, sweep, write_record)
 from .pareto import EvaluationError
 
 
@@ -43,7 +43,7 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
     record = run_single(slice_, args.rep, seed, config.metric_params())
     path = record_path(_out_dir(args, config), slice_, args.rep)
     write_record(path, record)
-    print(f"{slice_.strategy_label} on {slice_.problem} {slice_.noise}: "
+    print(f"{strategy_label(slice_.strategy)} on {slice_.problem} {slice_.noise}: "
           f"hv={record.hv:.4f} spent={record.spent} -> {path}")
     return 0
 

@@ -88,11 +88,11 @@ class RunSlice:
     def make_strategy(self) -> ResamplingStrategy:
         return strategy_from_dict(self.strategy)
 
-    @property
-    def strategy_label(self) -> str:
-        params = {k: v for k, v in sorted(self.strategy.items()) if k != "kind"}
-        inner = ",".join(f"{k}={v}" for k, v in params.items())
-        return f"{self.strategy['kind']}({inner})"
+
+def strategy_label(strategy: dict) -> str:
+    """A strategy mapping as ``kind(param=value,...)``, parameters sorted."""
+    inner = ",".join(f"{k}={v}" for k, v in sorted(strategy.items()) if k != "kind")
+    return f"{strategy['kind']}({inner})"
 
 
 def derive_seed(base_seed: int, fingerprint: str, replication: int) -> int:
@@ -183,18 +183,18 @@ class ExperimentConfig:
         self.metrics = from_mapping(MetricParams, self.metrics, "metrics key")
         if self.budget < self.selection.prestudy_budget:
             raise EvaluationError("budget must not be smaller than the prestudy budget")
-        # Build and shape-check every slice's strategy now: a bad value fails at
-        # load. Two spellings of one strategy (an omitted default) build equal
-        # objects and would run the same strategy twice.
-        for budget in {self.budget, self.selection.prestudy_budget}:
-            built = {}
-            for slice_ in self.slices(budget):
-                strategy = slice_.make_strategy()
-                check_run_shape(strategy, self.popsize, budget)
-                twin = built.setdefault((slice_.setting_key(), strategy), slice_)
-                if twin is not slice_:
-                    raise EvaluationError(f"strategies {twin.strategy_label} and "
-                                          f"{slice_.strategy_label} are the same strategy")
+        # Build each strategy combination once, so a bad value fails at load, and
+        # shape-check it at the prestudy budget: a shape refused at some budget is
+        # refused at any smaller one. Two spellings of one strategy (an omitted
+        # default) build equal objects and would run the same strategy twice.
+        built = {}
+        for combo in combos:
+            strategy = strategy_from_dict(combo)
+            check_run_shape(strategy, self.popsize, self.selection.prestudy_budget)
+            twin = built.setdefault(strategy, combo)
+            if twin is not combo:
+                raise EvaluationError(f"strategies {strategy_label(twin)} and "
+                                      f"{strategy_label(combo)} are the same strategy")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -393,17 +393,14 @@ def load_records(config: ExperimentConfig, out_dir: str | Path, budget: int | No
         raise EvaluationError(f"{len(missing)} of {len(runs)} records missing in "
                               f"{Path(out_dir) / 'records'} (fingerprint, rep):\n{listing}")
     params = config.metric_params()
-    nadirs = {}  # per problem, the values score_final_set stores
-    for name in config.problems:
-        pf = sample_true_pf(make_problem(name, dim=config.dim), params.n_pf)
-        nadirs[name] = [float(v) for v in _nadir(pf, params)]
+    nadir = [float(v) for v in _nadir(sample_true_pf(params.n_pf), params)]  # as stored
     records = []
     for slice_, rep in runs:
         path = record_path(out_dir, slice_, rep)
         record = load_record(path, include_log=include_log)
         expected = {"seed": derive_seed(config.base_seed, slice_.fingerprint, rep),
                     "pf_sample_size": params.n_pf, "igd_power": params.igd_power,
-                    "nadir": nadirs[slice_.problem]}
+                    "nadir": nadir}
         found = {"seed": record.seed, **record.metrics}
         for key, value in expected.items():
             if found[key] != value:
@@ -415,11 +412,15 @@ def load_records(config: ExperimentConfig, out_dir: str | Path, budget: int | No
 
 
 def load_record(path: str | Path, include_log: bool = True) -> RunRecord:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not include_log:
-        raw["eval_log"] = []
-    return RunRecord.from_dict(raw)
+    """Read one record file; a file that does not parse into a :class:`RunRecord`
+    (cut short, a field missing or unknown) raises :class:`EvaluationError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+        return RunRecord.from_dict(raw if include_log else {**raw, "eval_log": []})
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise EvaluationError(f"record {path} is damaged ({exc}); delete it and "
+                              "re-run sweep") from None
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +558,17 @@ def report(records: list[RunRecord], out_dir: str | Path) -> list[Path]:
 
     decorated = sorted(((RunSlice.from_dict(r.slice), r) for r in records),
                        key=lambda pair: (pair[0].setting_key(), pair[0].family,
-                                         pair[0].strategy_label, pair[1].replication))
+                                         strategy_label(pair[0].strategy), pair[1].replication))
     per_run_rows = [[r.fingerprint, *s.setting_key(),
                      "rtea" if s.mode == "rtea" else "nsga2",
-                     s.mode, s.family, s.strategy_label, r.replication, r.seed, s.budget,
+                     s.mode, s.family, strategy_label(s.strategy), r.replication, r.seed, s.budget,
                      s.popsize, r.spent, r.metrics["n_returned"], r.metrics["n_filtered"],
                      float(r.metrics["hv_raw"]), float(r.metrics["hv_normalized"]),
                      float(r.metrics["igd"])] for s, r in decorated]
 
     groups: dict = {}
     for s, r in decorated:
-        groups.setdefault((s.setting_key(), s.family, s.strategy_label), []).append(r)
+        groups.setdefault((s.setting_key(), s.family, strategy_label(s.strategy)), []).append(r)
     agg_rows = []
     for (setting, fam, label), recs in sorted(groups.items()):
         hvs = [rec.metrics["hv_normalized"] for rec in recs]

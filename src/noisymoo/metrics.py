@@ -92,7 +92,7 @@ def hypervolume(points: np.ndarray, nadir: np.ndarray) -> float:
 
 
 def _nadir(pf: np.ndarray, params: MetricParams) -> np.ndarray:
-    """Per-problem nadir: (1 + delta) times the objective maxima over the true front."""
+    """The nadir: (1 + delta) times the objective maxima over the true front."""
     return (1.0 + params.nadir_delta) * pf.max(axis=0)
 
 
@@ -120,7 +120,7 @@ def score_final_set(returned: list[EvaluatedPoint], problem: NoisyProblem,
                     params: MetricParams = MetricParams()) -> MetricReport:
     """Apply the true-mean filter and compute the full metric report."""
     filtered, true_means = _true_nondominated(returned, problem)
-    pf = sample_true_pf(problem, params.n_pf)
+    pf = sample_true_pf(params.n_pf)
     nadir = _nadir(pf, params)
     denom = _true_front_hypervolume(pf, nadir)
     if filtered:

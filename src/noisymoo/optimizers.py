@@ -180,17 +180,18 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
     """
     check_run_shape(strategy, popsize, budget)
     arb = isinstance(strategy, ArbStrategy)
-    one_shot = strategy.loop == "one_shot"
+    sequential = strategy.loop == "sequential"
+    births = 1 if sequential else strategy.n  # samples a new point starts with
 
     ev = Evaluator(problem, rng, budget, DispersionSet(strategy.capacity) if arb else None)
-    if arb:
-        pop = _initialize_arb(ev, strategy, popsize)
-    else:
-        pop = ev.spawn_random(popsize)
-        if one_shot:
-            for pt in pop:
-                while pt.count < strategy.n and ev.remaining > 0:
-                    ev.reevaluate(pt, 0)
+
+    def top_up(point: EvaluatedPoint, generation: int) -> None:
+        while point.count < births and ev.remaining > 0:
+            ev.reevaluate(point, generation)
+
+    pop = _initialize_arb(ev, strategy, popsize) if arb else ev.spawn_random(popsize)
+    for point in pop:
+        top_up(point, 0)
 
     max_gen = max(1, budget // popsize)
     gen = 0
@@ -208,10 +209,9 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
                     break
                 child = ev.spawn(x, gen)
                 offspring.append(child)
-                while one_shot and child.count < strategy.n and ev.remaining > 0:
-                    ev.reevaluate(child, gen)
+                top_up(child, gen)
         combined = pop + offspring
-        if not one_shot:
+        if sequential:
             ranked = nondominated_sort(combined)
             ctx = DecisionContext(population=ranked, n_gen=min(gen, max_gen), max_gen=max_gen,
                                   front=ranked.first_front(), dispersion=ev.dispersion, rng=rng)

@@ -50,9 +50,9 @@ def from_mapping(cls, raw: dict, what: str):
 
 def require_at_least(obj, least: int, *names: str, what: str = "") -> None:
     """Raise :class:`EvaluationError` naming the first of the attributes
-    ``names`` of ``obj`` whose value is below ``least``."""
+    ``names`` of ``obj`` whose value is not at least ``least`` (NaN included)."""
     for name in names:
-        if getattr(obj, name) < least:
+        if not getattr(obj, name) >= least:
             raise EvaluationError(f"{what}{name} must be at least {least}, got {getattr(obj, name)}")
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pareto import EvaluationError
+from .pareto import EvaluationError, require_at_least
 
 NOISE_KINDS = ("none", "gaussian", "chisq")
 
@@ -41,8 +41,7 @@ class NoiseLaw:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise EvaluationError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise EvaluationError("sigma must be nonnegative")
+        require_at_least(self, 0, "sigma")
         if self.kind == "chisq" and self.df < 1:
             raise EvaluationError("chisq noise needs df >= 1")
 
@@ -146,8 +145,8 @@ def mean_fn_uf3(x: np.ndarray) -> np.ndarray:
     return np.array([f1, f2])
 
 
-def sample_true_pf(problem: NoisyProblem, n: int) -> np.ndarray:
-    """n points evenly spaced in f1 along the analytic front f2 = 1 - sqrt(f1)."""
+def sample_true_pf(n: int) -> np.ndarray:
+    """n points evenly spaced in f1 along f2 = 1 - sqrt(f1), every problem's front."""
     if n < 2:
         raise EvaluationError("need at least 2 Pareto front samples")
     f1 = np.linspace(0.0, 1.0, n)

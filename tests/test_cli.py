@@ -306,6 +306,31 @@ def test_records_made_under_other_inputs_are_refused(command, change, config_pat
     assert main([*argv, "--config", str(config_path)]) == 0
 
 
+# id -> what a record file is replaced with: its first 100 bytes, or other text
+DAMAGED_RECORDS = {"cut_short": None, "fields_missing": '{"seed": 1}'}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_RECORDS))
+@pytest.mark.parametrize("command", sorted(READERS))
+def test_damaged_record_exits_2_with_one_line(command, damage, config_path, tmp_path,
+                                              capsys):
+    config = json.loads(config_path.read_text())
+    config.update(noise=[{"kind": "none"}], strategies=[{"kind": "static"}])
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    record = sorted((out / "records").iterdir())[0]
+    text = DAMAGED_RECORDS[damage]
+    record.write_text(record.read_text()[:100] if text is None else text)
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path), "--out", str(out),
+                 *READERS[command]]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"record {record} is damaged" in err[0]
+    assert "delete it and re-run sweep" in err[0]
+    assert sorted(p.name for p in out.iterdir()) == ["records"]
+
+
 def test_select_error_exits_2_with_one_line(config_path, tmp_path, capsys):
     config = json.loads(config_path.read_text())
     config.update(noise=[{"kind": "none"}], strategies=[{"kind": "static"}],

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from noisymoo.harness import (AGGREGATE_HEADER, PER_RUN_HEADER, ExperimentConfig
                               run_single, select_params_prestudy, select_params_split,
                               sweep, write_record)
 from noisymoo.pareto import EvaluationError
-from noisymoo.resampling import strategy_type
+from noisymoo.resampling import ResamplingStrategy, strategy_from_dict, strategy_type
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
@@ -105,6 +106,21 @@ class TestConfigAndSlices:
         # Fingerprints seed every run: the config -> slice path must not move them.
         assert hashlib.sha256(fingerprints.encode()).hexdigest() == (
             "b5c2298d036f38ad43d6f09fcafc5b407edaa58123575128f8bd3bb834760d18")
+
+    def test_desk_load_builds_each_strategy_once(self, monkeypatch):
+        built = []
+
+        def counting(spec):
+            built.append(spec)
+            return strategy_from_dict(spec)
+
+        monkeypatch.setattr(harness, "strategy_from_dict", counting)
+        config = ExperimentConfig.load(DESK_CONFIG)
+        assert len(built) == 26 == sum(len(e.combinations()) for e in config.strategies)
+
+    def test_families_are_those_the_strategy_types_name(self):
+        named = {cls.family for cls in get_args(ResamplingStrategy)}
+        assert len(harness.FAMILIES) == len(named) and set(harness.FAMILIES) == named
 
     def test_selection_keys_default_one_by_one(self):
         config = tiny_config(budget=2400, selection={"n_select": 1})
@@ -395,7 +411,7 @@ class TestReport:
             assert rows[0] == header and len(rows) > 1
             assert all(len(row) == len(header) for row in rows)
             labels = {row[header.index("strategy")] for row in rows[1:]}
-            assert labels == {s.strategy_label for s in slices}
+            assert labels == {harness.strategy_label(s.strategy) for s in slices}
             assert "arb(alpha_l=0.2,alpha_u=0.9,seed_size=6)" in labels
 
     def test_empty_records_rejected(self, tmp_path):

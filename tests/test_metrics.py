@@ -114,21 +114,21 @@ class TestNormalizedHypervolume:
     def test_degenerate_nadir_rejected(self):
         problem = make_problem("uf1")
         with pytest.raises(EvaluationError):
-            _true_front_hypervolume(sample_true_pf(problem, 1000), vec(0, 0))
+            _true_front_hypervolume(sample_true_pf(1000), vec(0, 0))
         with pytest.raises(EvaluationError):  # nadir_delta -1 puts the nadir at 0
             score_final_set(on_front(problem, [0.25]), problem,
                             MetricParams(nadir_delta=-1.0))
 
     def test_nadir_construction(self):
         problem = make_problem("uf1")
-        assert _nadir(sample_true_pf(problem, 1000), MetricParams()) == \
+        assert _nadir(sample_true_pf(1000), MetricParams()) == \
                pytest.approx([1.1, 1.1])
         assert score_final_set([], problem).nadir == pytest.approx((1.1, 1.1))
 
 
 class TestIgd:
     def test_exact_cover_is_zero(self):
-        pf = sample_true_pf(make_problem("uf1"), 100)
+        pf = sample_true_pf(100)
         assert igd_p(pf, pf) == 0.0
 
     def test_hand_computed_power_one(self):
@@ -163,7 +163,7 @@ class TestScoreFinalSet:
         assert report.n_returned == 10
         assert 1 <= report.n_filtered <= 10
         assert report.hv_normalized == pytest.approx(
-            report.hv_raw / hypervolume(sample_true_pf(problem, 1000),
-                                        _nadir(sample_true_pf(problem, 1000),
+            report.hv_raw / hypervolume(sample_true_pf(1000),
+                                        _nadir(sample_true_pf(1000),
                                                MetricParams())))
         assert np.isfinite(report.igd)

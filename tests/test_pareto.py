@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from noisymoo.metrics import MetricParams
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, crowding_distance,
                              dominance_matrix, front_ranks, nondominated_sort,
                              weak_dominance)
+from noisymoo.problems import NoiseLaw
+from noisymoo.resampling import StaticStrategy, TimeStrategy
 
 from .oracles import (brute_crowding_distance, brute_dominance_matrix, brute_front_ranks,
                       brute_weak_dominance)
@@ -262,3 +265,18 @@ class TestEvaluatedPoint:
     def test_mean_within_tolerance(self, samples):
         pt = EvaluatedPoint(decision=vec(0, 0), samples=list(samples))
         assert np.allclose(pt.mean, samples.mean(axis=0), atol=1e-12)
+
+
+# A bound ``require_at_least`` checks must refuse NaN, which no comparison holds for.
+@pytest.mark.parametrize("cls, kwargs", [
+    (MetricParams, {"igd_power": float("nan")}),
+    (MetricParams, {"nadir_delta": float("nan")}),
+    (MetricParams, {"n_pf": float("nan")}),
+    (StaticStrategy, {"n": float("nan")}),
+    (TimeStrategy, {"n_max": float("nan")}),
+    (NoiseLaw, {"kind": "gaussian", "sigma": float("nan")}),
+], ids=["igd_power", "nadir_delta", "n_pf", "static_n", "time_n_max", "sigma"])
+def test_bounded_fields_refuse_nan(cls, kwargs):
+    name = list(kwargs)[-1]
+    with pytest.raises(EvaluationError, match=f"{name} must be at least .*, got nan"):
+        cls(**kwargs)

@@ -219,15 +219,15 @@ class TestCachedMean:
 
 class TestTruePfSample:
     def test_endpoints(self):
-        pf = sample_true_pf(make_problem("uf1"), 2)
+        pf = sample_true_pf(2)
         assert pf == pytest.approx(np.array([[0, 1], [1, 0]]))
 
     def test_even_spacing_midpoint(self):
-        pf = sample_true_pf(make_problem("uf1"), 3)
+        pf = sample_true_pf(3)
         assert pf[1] == pytest.approx([0.5, 1 - np.sqrt(0.5)])
 
     def test_mutually_indifferent(self):
-        pf = sample_true_pf(make_problem("uf3"), 25)
+        pf = sample_true_pf(25)
         for i in range(len(pf)):
             for j in range(len(pf)):
                 if i != j:

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (ExperimentConfig, derive_seed, load_records, record_path, report,
-                      run_single, select_params_prestudy, select_params_split,
-                      strategy_label, sweep, write_record)
+from .harness import (ExperimentConfig, load_records, record_path, report, run_single,
+                      select_params_prestudy, select_params_split, strategy_label, sweep,
+                      write_record)
 from .pareto import EvaluationError
 
 
@@ -38,9 +38,8 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
         raise EvaluationError(f"slice index out of range (0..{len(slices) - 1})")
     if not 0 <= args.rep < config.replications:
         raise EvaluationError(f"replication index out of range (0..{config.replications - 1})")
-    slice_ = slices[args.slice]
-    seed = derive_seed(config.base_seed, slice_.fingerprint, args.rep)
-    record = run_single(slice_, args.rep, seed, config.metric_params())
+    slice_, _, seed = config.runs()[args.slice * config.replications + args.rep]
+    record = run_single(slice_, args.rep, seed, config.metrics)
     path = record_path(_out_dir(args, config), slice_, args.rep)
     write_record(path, record)
     print(f"{strategy_label(slice_.strategy)} on {slice_.problem} {slice_.noise}: "
@@ -54,7 +53,7 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
     budget = config.selection.prestudy_budget if args.prestudy else None
     started = sweep(config, out, jobs=args.jobs, budget=budget)
-    total = len(config.slices(budget=budget)) * config.replications
+    total = len(config.runs(budget))
     label = "prestudy" if args.prestudy else "full"
     print(f"{label} sweep complete: {started} of {total} runs started, "
           f"records in {out / 'records'}")
@@ -63,7 +62,7 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
 
 def _cmd_select(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
-    full = load_records(config, out, include_log=False)
+    full = load_records(config, out)
     if args.protocol == "split":
         sel = config.selection
         fractions = select_params_split(full, sel.n_select, sel.n_compare, sel.n_repeats,
@@ -71,8 +70,7 @@ def _cmd_select(args, config: ExperimentConfig) -> int:
         payload = {"protocol": "split",
                    "fractions": {str(k): v for k, v in fractions.items()}}
     else:
-        prestudy = load_records(config, out, include_log=False,
-                                budget=config.selection.prestudy_budget)
+        prestudy = load_records(config, out, budget=config.selection.prestudy_budget)
         table = select_params_prestudy(prestudy, full)
         payload = {"protocol": "prestudy", **table}
     path = Path(out) / f"selection_{args.protocol}.json"
@@ -85,7 +83,7 @@ def _cmd_select(args, config: ExperimentConfig) -> int:
 
 def _cmd_report(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
-    paths = report(load_records(config, out, include_log=False), out)
+    paths = report(load_records(config, out), out)
     for p in paths:
         print(p)
     return 0

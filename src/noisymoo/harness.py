@@ -14,8 +14,8 @@ under another base seed or other metrics is refused, not reported.
 
 Determinism contract: a record holds only reproducible fields and its file
 is its canonical JSON, so identical seeds give byte-identical record files
-and reports across executions on one platform, and a loaded record is
-exactly its file.
+and reports across executions on one platform, and :func:`load_record`
+returns its file exactly.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 import numpy as np
 
-from .metrics import MetricParams, _nadir, score_final_set
+from .metrics import MetricParams, MetricReport, _nadir, score_final_set
 from .optimizers import check_run_shape, nsga2_run, rtea_run
 from .pareto import EvaluationError, from_mapping, require_at_least
 from .problems import NOISE_KINDS, NoiseLaw, make_problem, sample_true_pf
@@ -68,13 +68,6 @@ class RunSlice:
     @property
     def fingerprint(self) -> str:
         return hashlib.sha256(_canonical(self.as_dict()).encode()).hexdigest()[:16]
-
-    def selection_key(self) -> str:
-        """Slice identity with the budget removed; ties a prestudy slice to
-        its full-budget counterpart."""
-        d = self.as_dict()
-        del d["budget"]
-        return _canonical(d)
 
     def setting_key(self) -> tuple:
         """Problem plus noise: the unit over which strategies are compared."""
@@ -216,10 +209,12 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def metric_params(self) -> MetricParams:
+        """``metrics``, for ``perfbench/workloads.py``; the package reads ``metrics``."""
         return self.metrics
 
     def variation_config(self) -> VariationConfig:
-        """The variation operators of every run: the defaults, not configurable."""
+        """The variation operators of every run: the defaults, not configurable.
+        For ``perfbench/workloads.py``; the package takes :func:`run_single`'s default."""
         return VariationConfig()
 
     def slices(self, budget: int | None = None) -> list[RunSlice]:
@@ -230,6 +225,11 @@ class ExperimentConfig:
                 for problem, noise, entry in itertools.product(self.problems, self.noise,
                                                                self.strategies)
                 for strategy in entry.combinations()]
+
+    def runs(self, budget: int | None = None) -> list[tuple[RunSlice, int, int]]:
+        """The run plan: every (slice, replication, seed) in grid order."""
+        return [(slice_, rep, derive_seed(self.base_seed, slice_.fingerprint, rep))
+                for slice_ in self.slices(budget) for rep in range(self.replications)]
 
 
 @dataclass
@@ -353,15 +353,11 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
     downstream report is independent of execution order.
     """
     remove_stale_temps(Path(out_dir) / "records")
-    metric_params = config.metric_params()
     jobs_args = []
-    for slice_ in config.slices(budget=budget):
-        for rep in range(config.replications):
-            path = record_path(out_dir, slice_, rep)
-            if path.exists():
-                continue
-            seed = derive_seed(config.base_seed, slice_.fingerprint, rep)
-            jobs_args.append((slice_, rep, seed, metric_params, str(path)))
+    for slice_, rep, seed in config.runs(budget):
+        path = record_path(out_dir, slice_, rep)
+        if not path.exists():
+            jobs_args.append((slice_, rep, seed, config.metrics, str(path)))
     if jobs_args:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -372,53 +368,53 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
     return len(jobs_args)
 
 
-def load_records(config: ExperimentConfig, out_dir: str | Path, budget: int | None = None,
-                 include_log: bool = True) -> list[RunRecord]:
-    """Read the grid x replications records in grid order; start no run.
+def load_records(config: ExperimentConfig, out_dir: str | Path,
+                 budget: int | None = None) -> list[RunRecord]:
+    """Read the records of the run plan in grid order; start no run. Each
+    holds an empty ``eval_log``, which is nearly all of a record file.
 
     Raises :class:`EvaluationError` listing every missing (fingerprint,
     replication) pair, or naming the first record made under other inputs:
     a ``seed`` not derived from the config's base seed, or a metric
     parameter (``pf_sample_size``, ``igd_power``, ``nadir``) the config's
-    ``metrics`` would not give. ``include_log=False`` drops the (large)
-    evaluation logs from the returned records; the files on disk always
-    keep them.
+    ``metrics`` would not give.
     """
-    runs = [(slice_, rep) for slice_ in config.slices(budget=budget)
-            for rep in range(config.replications)]
-    missing = [(slice_.fingerprint, rep) for slice_, rep in runs
+    runs = config.runs(budget)
+    missing = [(slice_.fingerprint, rep) for slice_, rep, _ in runs
                if not record_path(out_dir, slice_, rep).is_file()]
     if missing:
         listing = "\n".join(f"  ({fp}, {rep})" for fp, rep in missing)
         raise EvaluationError(f"{len(missing)} of {len(runs)} records missing in "
                               f"{Path(out_dir) / 'records'} (fingerprint, rep):\n{listing}")
-    params = config.metric_params()
+    params = config.metrics
     nadir = [float(v) for v in _nadir(sample_true_pf(params.n_pf), params)]  # as stored
     records = []
-    for slice_, rep in runs:
+    for slice_, rep, seed in runs:
         path = record_path(out_dir, slice_, rep)
-        record = load_record(path, include_log=include_log)
-        expected = {"seed": derive_seed(config.base_seed, slice_.fingerprint, rep),
-                    "pf_sample_size": params.n_pf, "igd_power": params.igd_power,
-                    "nadir": nadir}
+        record = load_record(path)
+        expected = {"seed": seed, "pf_sample_size": params.n_pf,
+                    "igd_power": params.igd_power, "nadir": nadir}
         found = {"seed": record.seed, **record.metrics}
         for key, value in expected.items():
             if found[key] != value:
                 raise EvaluationError(
                     f"record {path} was made under other inputs: {key} is {found[key]}, "
                     f"this config gives {value}")
-        records.append(record)
+        records.append(replace(record, eval_log=[]))
     return records
 
 
-def load_record(path: str | Path, include_log: bool = True) -> RunRecord:
-    """Read one record file; a file that does not parse into a :class:`RunRecord`
-    (cut short, a field missing or unknown) raises :class:`EvaluationError`."""
+def load_record(path: str | Path) -> RunRecord:
+    """Read one record file, whole. A file that is no :class:`RunRecord` with a
+    :class:`RunSlice` ``slice`` and :class:`MetricReport` ``metrics`` (cut short,
+    a field missing or unknown) raises :class:`EvaluationError`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return RunRecord.from_dict(raw if include_log else {**raw, "eval_log": []})
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            record = RunRecord.from_dict(json.load(fh))
+        RunSlice.from_dict(record.slice)
+        MetricReport(**record.metrics)
+        return record
+    except (ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
         raise EvaluationError(f"record {path} is damaged ({exc}); delete it and "
                               "re-run sweep") from None
 
@@ -500,7 +496,8 @@ def select_params_prestudy(prestudy_records: list[RunRecord],
     if set(pre_table) != set(full_table):
         missing = sorted(set(full_table) ^ set(pre_table))
         raise EvaluationError(f"prestudy and full sweeps disagree on settings: {missing}")
-    by_selection_key = {s.selection_key(): fp for fp, s in full_slices.items()}
+    # A prestudy slice and its full-budget twin differ in budget alone.
+    full_by_twin = {replace(s, budget=0).fingerprint: fp for fp, s in full_slices.items()}
 
     counts = {fam: {kind: 0.0 for kind in NOISE_KIND_ORDER} for fam in FAMILIES}
     cells_counted = 0
@@ -510,7 +507,7 @@ def select_params_prestudy(prestudy_records: list[RunRecord],
         for fam, configs in pre_table[setting].items():
             reps = sorted(next(iter(configs.values())))
             best_pre = _best_config(configs, reps)
-            full_fp = by_selection_key.get(pre_slices[best_pre].selection_key())
+            full_fp = full_by_twin.get(replace(pre_slices[best_pre], budget=0).fingerprint)
             if full_fp is None:
                 raise EvaluationError(
                     f"no full-budget slice matches prestudy winner {best_pre}")

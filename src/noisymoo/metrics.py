@@ -25,10 +25,12 @@ class MetricParams:
     igd_power: float = 2.0
 
     def __post_init__(self) -> None:
-        # The bounds nadir, sample_true_pf and igd_p need, checked before any run.
+        # The bounds scoring needs, and a nadir that is not degenerate, checked when built.
         require_at_least(self, 0, "nadir_delta", what="metrics ")
         require_at_least(self, 2, "n_pf", what="metrics ")
         require_at_least(self, 1, "igd_power", what="metrics ")
+        pf = sample_true_pf(self.n_pf)
+        _true_front_hypervolume(pf, _nadir(pf, self))
 
 
 @dataclass(frozen=True)

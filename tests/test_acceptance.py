@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from noisymoo.bootstrap import bootstrap_means, dominance_probability
-from noisymoo.harness import (ExperimentConfig, load_records, report, run_single,
-                              select_params_prestudy, select_params_split, sweep)
+from noisymoo.harness import (ExperimentConfig, load_record, load_records, report,
+                              run_single, select_params_prestudy, select_params_split,
+                              sweep)
 from noisymoo.metrics import hypervolume, true_nondominated_filter
 from noisymoo.optimizers import environmental_select
 from noisymoo.pareto import EvaluatedPoint, nondominated_sort
@@ -175,8 +176,12 @@ def test_criterion_7_budget_exactness_and_determinism(tmp_path):
     sweep(config, tmp_path / "two", jobs=2)
     records_1 = load_records(config, tmp_path / "one")
     records_2 = load_records(config, tmp_path / "two")
-    exact = all(r.spent == 400 and len(r.eval_log) == 400
-                for r in records_1 + records_2)
+    # Loaded records hold no eval_log, so the logs are counted in the files.
+    files = [p for sweep_dir in ("one", "two")
+             for p in (tmp_path / sweep_dir / "records").glob("*.json")]
+    exact = (all(r.spent == 400 for r in records_1 + records_2)
+             and len(files) == len(records_1 + records_2)
+             and all(len(load_record(p).eval_log) == 400 for p in files))
     paths_1 = report(records_1, tmp_path / "one")
     paths_2 = report(records_2, tmp_path / "two")
     csv_identical = all(p1.read_bytes() == p2.read_bytes()

@@ -212,6 +212,9 @@ BAD_CONFIGS = {
                                "sederror parameter threshold must be finite, got nan"),
     "nadir_delta_negative": ({"metrics": {"nadir_delta": -0.7}},
                              "metrics nadir_delta must be at least 0, got -0.7"),
+    "nadir_degenerate": ({"metrics": {"n_pf": 2, "nadir_delta": 0}}, "nadir is degenerate"),
+    "nadir_degenerate_tiny_delta": ({"metrics": {"n_pf": 2, "nadir_delta": 1e-20}},
+                                    "nadir is degenerate"),
     "schema_version_true": ({"schema_version": True}, "unsupported config schema_version True"),
     "popsize_odd": ({"popsize": 7}, "popsize"),
     "base_seed_negative": ({"base_seed": -1}, "base_seed"),
@@ -306,8 +309,23 @@ def test_records_made_under_other_inputs_are_refused(command, change, config_pat
     assert main([*argv, "--config", str(config_path)]) == 0
 
 
-# id -> what a record file is replaced with: its first 100 bytes, or other text
-DAMAGED_RECORDS = {"cut_short": None, "fields_missing": '{"seed": 1}'}
+def _edited(edit):
+    """A damage that parses a record's text, applies ``edit`` to it, and writes it back."""
+    def damage(text):
+        raw = json.loads(text)
+        edit(raw)
+        return json.dumps(raw)
+    return damage
+
+
+# id -> how a record file's text is damaged
+DAMAGED_RECORDS = {
+    "cut_short": lambda text: text[:100],
+    "fields_missing": lambda text: '{"seed": 1}',
+    "metrics_nadir_missing": _edited(lambda raw: raw["metrics"].pop("nadir")),
+    "metrics_list": _edited(lambda raw: raw.update(metrics=[1])),
+    "slice_partial": _edited(lambda raw: raw.update(slice={"problem": "uf1"})),
+}
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGED_RECORDS))
@@ -320,8 +338,7 @@ def test_damaged_record_exits_2_with_one_line(command, damage, config_path, tmp_
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
     record = sorted((out / "records").iterdir())[0]
-    text = DAMAGED_RECORDS[damage]
-    record.write_text(record.read_text()[:100] if text is None else text)
+    record.write_text(DAMAGED_RECORDS[damage](record.read_text()))
     capsys.readouterr()
     assert main([command, "--config", str(config_path), "--out", str(out),
                  *READERS[command]]) == 2

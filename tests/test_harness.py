@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import get_args
 
@@ -38,7 +38,7 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def synthetic_records(families, noise_kinds, n_reps, n_configs=2, value=None):
+def synthetic_records(families, noise_kinds, n_reps, n_configs=2, value=None, budget=100):
     """Hand-built records covering a grid, with controllable HV values."""
     records = []
     for kind in noise_kinds:
@@ -52,13 +52,13 @@ def synthetic_records(families, noise_kinds, n_reps, n_configs=2, value=None):
                 strategy = {"kind": strategy_kind, "p": cfg_i}
                 slice_ = RunSlice(problem="uf1", dim=10, noise=noise,
                                   strategy=strategy, mode="sequential",
-                                  popsize=4, budget=100)
+                                  popsize=4, budget=budget)
                 for rep in range(n_reps):
                     hv = (value(kind, fam, cfg_i, rep) if value
                           else 0.1 * fam_i + 0.01 * cfg_i)
                     records.append(RunRecord(
                         fingerprint=slice_.fingerprint, slice=slice_.as_dict(),
-                        replication=rep, seed=rep, spent=100, eval_log=[],
+                        replication=rep, seed=rep, spent=budget, eval_log=[],
                         final_population=[], returned_set=[],
                         metrics={"hv_normalized": hv, "hv_raw": hv, "igd": 1 - hv,
                                  "n_returned": 1, "n_filtered": 1}))
@@ -69,6 +69,13 @@ class TestConfigAndSlices:
     def test_grid_expansion_count(self):
         config = tiny_config()
         assert len(config.slices()) == 1 * 2 * 2  # problems x noise x grid
+
+    @pytest.mark.parametrize("budget", [120, 60])
+    def test_run_plan_is_each_slice_times_each_replication(self, budget):
+        config = tiny_config()
+        assert config.runs(budget) == [
+            (s, r, derive_seed(config.base_seed, s.fingerprint, r))
+            for s in config.slices(budget) for r in range(config.replications)]
 
     def test_fingerprint_stable_under_reserialization(self):
         s = tiny_config().slices()[0]
@@ -288,10 +295,17 @@ class TestSweep:
         config = tiny_config()
         sweep(config, tmp_path / "serial", jobs=1)
         sweep(config, tmp_path / "parallel", jobs=2)
-        serial = load_records(config, tmp_path / "serial")
-        parallel = load_records(config, tmp_path / "parallel")
-        assert [r.canonical_json() for r in serial] == \
-               [r.canonical_json() for r in parallel]
+        serial = {p.name: p.read_bytes() for p in (tmp_path / "serial/records").iterdir()}
+        parallel = {p.name: p.read_bytes() for p in (tmp_path / "parallel/records").iterdir()}
+        assert len(serial) == len(config.runs()) and serial == parallel
+
+    def test_loaded_records_are_their_files_without_logs(self, tmp_path):
+        config = tiny_config()
+        sweep(config, tmp_path)
+        loaded = load_records(config, tmp_path)
+        files = [load_record(record_path(tmp_path, s, r)) for s, r, _ in config.runs()]
+        assert all(f.eval_log for f in files)
+        assert loaded == [replace(f, eval_log=[]) for f in files]
 
 
 class TestSelectSplit:
@@ -348,6 +362,27 @@ class TestSelectPrestudy:
         assert table["noise_kinds"] == kinds
         total = sum(sum(row.values()) for row in table["counts"].values())
         assert total == pytest.approx(table["cells_counted"]) == 3 * 5
+
+    def test_winners_pair_with_their_full_budget_twins(self):
+        # Static's second and arb's first parameterization win the prestudy;
+        # at full budget static wins every replication with exactly those.
+        pre_hv = {("static", 0): 0.5, ("static", 1): 0.6, ("arb", 0): 0.6, ("arb", 1): 0.5}
+        full_hv = {("static", 0): 0.1, ("static", 1): 0.9, ("arb", 0): 0.5, ("arb", 1): 0.95}
+        pre = synthetic_records(["static", "arb"], ["none"], 2, budget=10,
+                                value=lambda kind, fam, cfg_i, rep: pre_hv[fam, cfg_i])
+        full = synthetic_records(["static", "arb"], ["none"], 3,
+                                 value=lambda kind, fam, cfg_i, rep: full_hv[fam, cfg_i])
+        assert not {r.fingerprint for r in pre} & {r.fingerprint for r in full}
+        table = select_params_prestudy(pre, full)
+        assert table["counts"]["static"]["none"] == 3.0
+        assert table["counts"]["arb"]["none"] == 0.0
+
+    def test_winner_without_a_full_budget_twin_is_refused(self):
+        pre = synthetic_records(["static"], ["none"], 2, n_configs=3, budget=10,
+                                value=lambda kind, fam, cfg_i, rep: 0.1 * cfg_i)
+        full = synthetic_records(["static"], ["none"], 2)  # configurations 0 and 1 only
+        with pytest.raises(EvaluationError, match="no full-budget slice matches"):
+            select_params_prestudy(pre, full)
 
     def test_missing_slices_reported(self):
         pre = synthetic_records(["static"], ["none"], n_reps=2)

@@ -112,12 +112,18 @@ class TestNormalizedHypervolume:
         assert report.hv_raw == report.hv_normalized == 0.0
 
     def test_degenerate_nadir_rejected(self):
-        problem = make_problem("uf1")
         with pytest.raises(EvaluationError):
             _true_front_hypervolume(sample_true_pf(1000), vec(0, 0))
-        with pytest.raises(EvaluationError):  # nadir_delta -1 puts the nadir at 0
-            score_final_set(on_front(problem, [0.25]), problem,
-                            MetricParams(nadir_delta=-1.0))
+        # Two front samples are the corners (0, 1) and (1, 0); without a margin
+        # (1 + 1e-20 == 1.0) the nadir is their maximum and encloses nothing.
+        for delta in (0.0, 1e-20):
+            with pytest.raises(EvaluationError, match="nadir is degenerate"):
+                MetricParams(n_pf=2, nadir_delta=delta)
+        problem = make_problem("uf1")
+        for n_pf, delta in ((2, 0.1), (3, 0.0)):
+            report = score_final_set(on_front(problem, [0.25]), problem,
+                                     MetricParams(nadir_delta=delta, n_pf=n_pf))
+            assert report.hv_normalized > 0.0
 
     def test_nadir_construction(self):
         problem = make_problem("uf1")

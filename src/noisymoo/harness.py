@@ -21,6 +21,7 @@ returns its file exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -30,10 +31,10 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 import numpy as np
 
-from .metrics import MetricParams, MetricReport, _nadir, score_final_set
+from .metrics import MetricParams, MetricReport, reference, score_final_set
 from .optimizers import check_run_shape, nsga2_run, rtea_run
 from .pareto import EvaluationError, from_mapping, require_at_least
-from .problems import NOISE_KINDS, NoiseLaw, make_problem, sample_true_pf
+from .problems import NOISE_KINDS, NoiseLaw, make_problem
 from .resampling import ResamplingStrategy, strategy_from_dict, strategy_type
 from .variation import VariationConfig
 
@@ -63,9 +64,9 @@ class RunSlice:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunSlice":
-        return cls(**{f.name: raw[f.name] for f in fields(cls)})
+        return from_mapping(cls, raw, "record slice key")
 
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
         return hashlib.sha256(_canonical(self.as_dict()).encode()).hexdigest()[:16]
 
@@ -252,7 +253,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunRecord":
-        return cls(**raw)
+        return from_mapping(cls, raw, "record key")
 
     @property
     def hv(self) -> float:
@@ -387,15 +388,14 @@ def load_records(config: ExperimentConfig, out_dir: str | Path,
         raise EvaluationError(f"{len(missing)} of {len(runs)} records missing in "
                               f"{Path(out_dir) / 'records'} (fingerprint, rep):\n{listing}")
     params = config.metrics
-    nadir = [float(v) for v in _nadir(sample_true_pf(params.n_pf), params)]  # as stored
+    expected = {"pf_sample_size": params.n_pf, "igd_power": params.igd_power,
+                "nadir": reference(params)[1].tolist()}  # as stored
     records = []
     for slice_, rep, seed in runs:
         path = record_path(out_dir, slice_, rep)
         record = load_record(path)
-        expected = {"seed": seed, "pf_sample_size": params.n_pf,
-                    "igd_power": params.igd_power, "nadir": nadir}
         found = {"seed": record.seed, **record.metrics}
-        for key, value in expected.items():
+        for key, value in {"seed": seed, **expected}.items():
             if found[key] != value:
                 raise EvaluationError(
                     f"record {path} was made under other inputs: {key} is {found[key]}, "
@@ -407,14 +407,14 @@ def load_records(config: ExperimentConfig, out_dir: str | Path,
 def load_record(path: str | Path) -> RunRecord:
     """Read one record file, whole. A file that is no :class:`RunRecord` with a
     :class:`RunSlice` ``slice`` and :class:`MetricReport` ``metrics`` (cut short,
-    a field missing or unknown) raises :class:`EvaluationError`."""
+    a field missing, unknown or of the wrong type) raises :class:`EvaluationError`."""
     try:
         with open(path, encoding="utf-8") as fh:
             record = RunRecord.from_dict(json.load(fh))
         RunSlice.from_dict(record.slice)
-        MetricReport(**record.metrics)
+        from_mapping(MetricReport, record.metrics, "record metrics key")
         return record
-    except (ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+    except ValueError as exc:  # JSONDecodeError and EvaluationError are ValueErrors
         raise EvaluationError(f"record {path} is damaged ({exc}); delete it and "
                               "re-run sweep") from None
 

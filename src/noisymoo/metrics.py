@@ -11,6 +11,7 @@ quality instead of noise luck is the whole point of the filter.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +30,7 @@ class MetricParams:
         require_at_least(self, 0, "nadir_delta", what="metrics ")
         require_at_least(self, 2, "n_pf", what="metrics ")
         require_at_least(self, 1, "igd_power", what="metrics ")
-        pf = sample_true_pf(self.n_pf)
-        _true_front_hypervolume(pf, _nadir(pf, self))
+        reference(self)
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,18 @@ def hypervolume(points: np.ndarray, nadir: np.ndarray) -> float:
     return float(hv)
 
 
-def _nadir(pf: np.ndarray, params: MetricParams) -> np.ndarray:
-    """The nadir: (1 + delta) times the objective maxima over the true front."""
-    return (1.0 + params.nadir_delta) * pf.max(axis=0)
-
-
-def _true_front_hypervolume(pf: np.ndarray, nadir: np.ndarray) -> float:
-    """Hypervolume of the true front sample; zero means the nadir is degenerate."""
-    denom = hypervolume(pf, nadir)
-    if denom <= 0.0:
+@lru_cache(maxsize=None)
+def reference(params: MetricParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """(front sample, nadir: 1 + ``nadir_delta`` times its maxima, its hypervolume),
+    built once per setting and shared, hence read-only; raises if the nadir is
+    degenerate (the hypervolume is zero)."""
+    pf = sample_true_pf(params.n_pf)
+    nadir = (1.0 + params.nadir_delta) * pf.max(axis=0)
+    hv_true = hypervolume(pf, nadir)
+    if hv_true <= 0.0:
         raise EvaluationError("true-front hypervolume is zero; nadir is degenerate")
-    return denom
+    pf.flags.writeable = nadir.flags.writeable = False
+    return pf, nadir, hv_true
 
 
 def igd_p(points: np.ndarray, pf: np.ndarray, power: float = 2.0) -> float:
@@ -122,9 +123,7 @@ def score_final_set(returned: list[EvaluatedPoint], problem: NoisyProblem,
                     params: MetricParams = MetricParams()) -> MetricReport:
     """Apply the true-mean filter and compute the full metric report."""
     filtered, true_means = _true_nondominated(returned, problem)
-    pf = sample_true_pf(params.n_pf)
-    nadir = _nadir(pf, params)
-    denom = _true_front_hypervolume(pf, nadir)
+    pf, nadir, denom = reference(params)
     if filtered:
         hv_raw = hypervolume(true_means, nadir)
         igd = igd_p(true_means, pf, params.igd_power)

@@ -213,7 +213,7 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
         combined = pop + offspring
         if sequential:
             ranked = nondominated_sort(combined)
-            ctx = DecisionContext(population=ranked, n_gen=min(gen, max_gen), max_gen=max_gen,
+            ctx = DecisionContext(population=ranked, n_gen=gen, max_gen=max_gen,
                                   front=ranked.first_front(), dispersion=ev.dispersion, rng=rng)
             for i, point in enumerate(combined):
                 if ev.remaining <= 0:

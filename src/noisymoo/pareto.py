@@ -19,13 +19,17 @@ class EvaluationError(ValueError):
     """Raised when an operation is called on inconsistent or empty inputs."""
 
 
+_SCALARS = {t.__name__: t for t in (bool, int, float, str)}
+
+
 def from_mapping(cls, raw: dict, what: str):
     """``cls(**raw)`` for a dataclass ``cls``. Raises :class:`EvaluationError`
-    if the config mapping ``raw`` is not a mapping, naming every key that is
-    not an init field of ``cls``, every required field it lacks, and the
-    first value whose type is not that of its field's ``bool``, ``int``,
-    ``float`` or ``str`` default (a ``float`` field also takes an ``int``,
-    but no NaN or infinity; a ``bool`` is no ``int``)."""
+    if the mapping ``raw`` (a config section or a record) is not a mapping,
+    naming every key that is not an init field of ``cls``, every required
+    field it lacks, and the first value whose type is not its field's
+    ``bool``, ``int``, ``float`` or ``str``: its annotation (a string, under
+    ``from __future__ import annotations``), else its default's type (a
+    ``float`` takes an ``int`` but no NaN or infinity; a ``bool`` is no ``int``)."""
     if not isinstance(raw, dict):
         raise EvaluationError(f"expected a mapping of {what}s, got {type(raw).__name__}")
     init = [f for f in fields(cls) if f.init]
@@ -38,8 +42,8 @@ def from_mapping(cls, raw: dict, what: str):
         raise EvaluationError(f"missing {what}(s): {', '.join(missing)}")
     for f in init:
         value = raw.get(f.name, f.default)
-        want, got = type(f.default), type(value)
-        if want in (bool, int, float, str) and got is not want \
+        want, got = _SCALARS.get(f.type, type(f.default)), type(value)
+        if want in _SCALARS.values() and got is not want \
                 and not (want is float and got is int):
             raise EvaluationError(f"{what} {f.name} must be {want.__name__}, "
                                   f"got {got.__name__}")

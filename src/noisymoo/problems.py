@@ -98,7 +98,7 @@ def _index_sets(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     # of UF1 and UF2, and the 0-based positions in x[1:] of the odd and the
     # even j. Built once per dim and shared, hence read-only.
     if dim < 3:
-        raise EvaluationError("UF problems need at least 3 decision variables")
+        raise EvaluationError(f"UF problems need dim >= 3, got {dim}")
     j = np.arange(2, dim + 1)
     sets = (j, j * np.pi / dim, np.flatnonzero(j % 2 == 1), np.flatnonzero(j % 2 == 0))
     for a in sets:
@@ -147,8 +147,6 @@ def mean_fn_uf3(x: np.ndarray) -> np.ndarray:
 
 def sample_true_pf(n: int) -> np.ndarray:
     """n points evenly spaced in f1 along f2 = 1 - sqrt(f1), every problem's front."""
-    if n < 2:
-        raise EvaluationError("need at least 2 Pareto front samples")
     f1 = np.linspace(0.0, 1.0, n)
     return np.column_stack([f1, 1.0 - np.sqrt(f1)])
 
@@ -169,8 +167,7 @@ def make_problem(name: str, dim: int = 10, noise: NoiseLaw | None = None) -> Noi
     """Build a registered problem by name ('uf1', 'uf2', 'uf3')."""
     if not isinstance(name, str) or name not in _MEAN_FNS:
         raise EvaluationError(f"unknown problem {name!r}; choose from {sorted(_MEAN_FNS)}")
-    if dim < 3:
-        raise EvaluationError("UF problems need dim >= 3")
+    _index_sets(dim)  # refuses dim < 3
     lower, upper = _uf_bounds(name, dim)
     return NoisyProblem(name=name, dim=dim, lower=lower, upper=upper,
                         mean_fn=_MEAN_FNS[name], noise=noise or NoiseLaw())

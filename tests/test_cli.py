@@ -153,6 +153,8 @@ BAD_CONFIGS = {
     "entry_grdi": ({"strategies": [{"kind": "static", "grdi": {"n": [7]}}]}, "grdi"),
     "entry_mode": ({"strategies": [{"kind": "static", "mode": "sequential"}]}, "mode"),
     "entry_kind_list": ({"strategies": [{"kind": ["static"]}]}, "kind"),
+    "entry_kind_int": ({"strategies": [{"kind": 5}]},
+                       "strategy entry key kind must be str, got int"),
     "problems_str": ({"problems": "uf1"}, "problems"),
     "problems_unknown": ({"problems": ["uf9"]}, "uf9"),
     "problems_upper_case": ({"problems": ["uf1", "UF1"]}, "unknown problem 'UF1'"),
@@ -325,6 +327,13 @@ DAMAGED_RECORDS = {
     "metrics_nadir_missing": _edited(lambda raw: raw["metrics"].pop("nadir")),
     "metrics_list": _edited(lambda raw: raw.update(metrics=[1])),
     "slice_partial": _edited(lambda raw: raw.update(slice={"problem": "uf1"})),
+    "replication_str": _edited(lambda raw: raw.update(replication="0")),
+    "replication_bool": _edited(lambda raw: raw.update(replication=True)),
+    "seed_str": _edited(lambda raw: raw.update(seed=str(raw["seed"]))),
+    "spent_str": _edited(lambda raw: raw.update(spent=str(raw["spent"]))),
+    "metrics_hv_normalized_str": _edited(lambda raw: raw["metrics"].update(hv_normalized="0.5")),
+    "metrics_n_returned_float": _edited(lambda raw: raw["metrics"].update(n_returned=1.5)),
+    "slice_budget_str": _edited(lambda raw: raw["slice"].update(budget=str(raw["slice"]["budget"]))),
 }
 
 
@@ -339,6 +348,7 @@ def test_damaged_record_exits_2_with_one_line(command, damage, config_path, tmp_
     assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
     record = sorted((out / "records").iterdir())[0]
     record.write_text(DAMAGED_RECORDS[damage](record.read_text()))
+    before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
     capsys.readouterr()
     assert main([command, "--config", str(config_path), "--out", str(out),
                  *READERS[command]]) == 2
@@ -346,6 +356,7 @@ def test_damaged_record_exits_2_with_one_line(command, damage, config_path, tmp_
     assert len(err) == 1 and f"record {record} is damaged" in err[0]
     assert "delete it and re-run sweep" in err[0]
     assert sorted(p.name for p in out.iterdir()) == ["records"]
+    assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
 
 
 def test_select_error_exits_2_with_one_line(config_path, tmp_path, capsys):

@@ -2,21 +2,25 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args
 
 import numpy as np
 import pytest
 
-from noisymoo import harness
+from noisymoo import harness, metrics
 from noisymoo.harness import (AGGREGATE_HEADER, PER_RUN_HEADER, ExperimentConfig, RunRecord, RunSlice, derive_seed,
                               load_record, load_records, record_path, report,
                               run_single, select_params_prestudy, select_params_split,
                               sweep, write_record)
-from noisymoo.pareto import EvaluationError
+from noisymoo.metrics import MetricParams, score_final_set
+from noisymoo.pareto import EvaluatedPoint, EvaluationError
+from noisymoo.problems import make_problem
 from noisymoo.resampling import ResamplingStrategy, strategy_from_dict, strategy_type
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
@@ -81,6 +85,38 @@ class TestConfigAndSlices:
         s = tiny_config().slices()[0]
         again = RunSlice(**json.loads(json.dumps(s.as_dict())))
         assert again.fingerprint == s.fingerprint
+
+    def test_each_slice_hashes_once(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(harness, "hashlib", SimpleNamespace(sha256=counting))
+        config = tiny_config()
+        slice_ = config.slices()[0]
+        assert slice_.fingerprint == slice_.fingerprint == slice_.fingerprint
+        assert len(calls) == 1
+        calls.clear()
+        runs = config.runs()
+        # One hash per slice, then one derive_seed hash per run.
+        assert len(calls) == len(config.slices()) + len(runs) == 4 + 12
+
+    def test_fingerprint_is_that_of_the_fields_after_replace_and_pickle(self):
+        slice_ = tiny_config().slices()[0]
+
+        def fresh(s):
+            text = json.dumps(s.as_dict(), sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        assert slice_.fingerprint == fresh(slice_)
+        assert "fingerprint" not in slice_.as_dict()
+        for other in (replace(slice_, budget=999), pickle.loads(pickle.dumps(slice_)),
+                      replace(replace(slice_, budget=999), budget=slice_.budget)):
+            assert other.fingerprint == fresh(other)
+        assert replace(slice_, budget=999).fingerprint != slice_.fingerprint
+        assert pickle.loads(pickle.dumps(slice_)) == slice_
 
     def test_seed_derivation_is_stable_and_documented(self):
         a = derive_seed(7, "abc", 0)
@@ -306,6 +342,22 @@ class TestSweep:
         files = [load_record(record_path(tmp_path, s, r)) for s, r, _ in config.runs()]
         assert all(f.eval_log for f in files)
         assert loaded == [replace(f, eval_log=[]) for f in files]
+
+
+def test_scoring_reference_is_built_once_per_metrics_setting(tmp_path, monkeypatch):
+    config = tiny_config(noise=[{"kind": "none"}], replications=1)
+    sweep(config, tmp_path)
+    sampled = []
+    real = metrics.sample_true_pf
+    monkeypatch.setattr(metrics, "sample_true_pf", lambda n: sampled.append(n) or real(n))
+    metrics.reference.cache_clear()
+    params = MetricParams()
+    problem = make_problem("uf1")
+    point = EvaluatedPoint(decision=np.full(10, 0.5), samples=[np.zeros(2)])
+    for returned in ([], [point]):
+        score_final_set(returned, problem, params)
+    assert len(load_records(config, tmp_path)) == 2
+    assert sampled == [params.n_pf]
 
 
 class TestSelectSplit:

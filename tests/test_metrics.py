@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisymoo.metrics import (MetricParams, _nadir, _true_front_hypervolume, hypervolume,
-                              igd_p, score_final_set, true_nondominated_filter)
+from noisymoo.metrics import (MetricParams, hypervolume, igd_p, reference, score_final_set,
+                              true_nondominated_filter)
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
 from noisymoo.problems import make_problem, sample_true_pf
 
@@ -112,8 +112,6 @@ class TestNormalizedHypervolume:
         assert report.hv_raw == report.hv_normalized == 0.0
 
     def test_degenerate_nadir_rejected(self):
-        with pytest.raises(EvaluationError):
-            _true_front_hypervolume(sample_true_pf(1000), vec(0, 0))
         # Two front samples are the corners (0, 1) and (1, 0); without a margin
         # (1 + 1e-20 == 1.0) the nadir is their maximum and encloses nothing.
         for delta in (0.0, 1e-20):
@@ -127,9 +125,16 @@ class TestNormalizedHypervolume:
 
     def test_nadir_construction(self):
         problem = make_problem("uf1")
-        assert _nadir(sample_true_pf(1000), MetricParams()) == \
-               pytest.approx([1.1, 1.1])
+        assert reference(MetricParams())[1] == pytest.approx([1.1, 1.1])
         assert score_final_set([], problem).nadir == pytest.approx((1.1, 1.1))
+
+    def test_reference_is_shared_read_only(self):
+        pf, nadir, hv_true = reference(MetricParams())
+        assert reference(MetricParams()) is reference(MetricParams())
+        assert pf.shape == (1000, 2) and hv_true == hypervolume(pf, nadir)
+        for shared in (pf, nadir):
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
 
 
 class TestIgd:
@@ -169,7 +174,5 @@ class TestScoreFinalSet:
         assert report.n_returned == 10
         assert 1 <= report.n_filtered <= 10
         assert report.hv_normalized == pytest.approx(
-            report.hv_raw / hypervolume(sample_true_pf(1000),
-                                        _nadir(sample_true_pf(1000),
-                                               MetricParams())))
+            report.hv_raw / hypervolume(*reference(MetricParams())[:2]))
         assert np.isfinite(report.igd)

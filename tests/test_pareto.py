@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from noisymoo.metrics import MetricParams
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, crowding_distance,
-                             dominance_matrix, front_ranks, nondominated_sort,
+                             dominance_matrix, from_mapping, front_ranks, nondominated_sort,
                              weak_dominance)
 from noisymoo.problems import NoiseLaw
 from noisymoo.resampling import StaticStrategy, TimeStrategy
@@ -280,3 +282,26 @@ def test_bounded_fields_refuse_nan(cls, kwargs):
     name = list(kwargs)[-1]
     with pytest.raises(EvaluationError, match=f"{name} must be at least .*, got nan"):
         cls(**kwargs)
+
+
+@dataclass(frozen=True)
+class _Row:
+    # String annotations, as under ``from __future__ import annotations``.
+    count: "int"
+    scale: "float"
+    label: "str" = "row"
+
+
+@pytest.mark.parametrize("raw, error", [
+    ({"count": "1", "scale": 1.0}, "row key count must be int, got str"),
+    ({"count": True, "scale": 1.0}, "row key count must be int, got bool"),
+    ({"count": 1, "scale": "1"}, "row key scale must be float, got str"),
+    ({"count": 1, "scale": 1.0, "label": 5}, "row key label must be str, got int"),
+])
+def test_from_mapping_checks_a_field_by_its_annotation(raw, error):
+    with pytest.raises(EvaluationError, match=error):
+        from_mapping(_Row, raw, "row key")
+
+
+def test_from_mapping_takes_an_int_for_a_float():
+    assert from_mapping(_Row, {"count": 2, "scale": 3}, "row key") == _Row(2, 3.0)

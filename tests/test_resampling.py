@@ -75,7 +75,7 @@ class TestRankAndTime:
         pop = ranked([(0, 1), (1, 0)])
         assert RankStrategy().share(0, ctx_for(pop)) == 1.0
 
-    @pytest.mark.parametrize("n_gen,expected", [(0, 0.0), (100, 1.0), (25, 0.25)])
+    @pytest.mark.parametrize("n_gen,expected", [(0, 0.0), (100, 1.0), (25, 0.25), (150, 1.0)])
     def test_time_fraction(self, n_gen, expected):
         pop = ranked([(0, 1), (1, 0)])
         assert TimeStrategy().share(0, ctx_for(pop, n_gen=n_gen, max_gen=100)) == expected

@@ -64,7 +64,6 @@ class DispersionSet:
     def __init__(self, capacity: int = 100):
         if capacity < 1:
             raise EvaluationError("dispersion set capacity must be positive")
-        self.capacity = capacity
         self._entries: deque[np.ndarray] = deque(maxlen=capacity)
         self._centered: np.ndarray | None = None
 

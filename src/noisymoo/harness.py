@@ -9,8 +9,8 @@ the replication index, so adding grid values never reseeds existing runs
 and execution order has no effect on any record. Records are written one JSON
 file per run, keyed by fingerprint and replication, which also makes
 re-running a completed sweep a no-op. Reading them back checks each
-record's seed and metric parameters against the config, so a record made
-under another base seed or other metrics is refused, not reported.
+record's identity and metric inputs against the run plan and the config, so
+a record made under other inputs is refused, not reported.
 
 Determinism contract: a record holds only reproducible fields and its file
 is its canonical JSON, so identical seeds give byte-identical record files
@@ -27,11 +27,11 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 import numpy as np
 
-from .metrics import MetricParams, MetricReport, reference, score_final_set
+from .metrics import MetricParams, MetricReport, report_inputs, score_final_set
 from .optimizers import check_run_shape, nsga2_run, rtea_run
 from .pareto import EvaluationError, from_mapping, require_at_least
 from .problems import NOISE_KINDS, NoiseLaw, make_problem
@@ -112,10 +112,8 @@ class StrategyEntry:  # one item of the ``strategies`` config list
     grid: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.grid, dict) or not all(
-                isinstance(values, list) for values in self.grid.values()):
-            raise EvaluationError(f"the {self.kind} grid must map each parameter "
-                                  "to a list of values")
+        if not all(isinstance(values, list) for values in self.grid.values()):
+            raise EvaluationError(f"the {self.kind} grid must map each parameter to a list")
         empty = [key for key, values in sorted(self.grid.items()) if not values]
         if empty:
             raise EvaluationError(f"the {self.kind} grid gives {', '.join(empty)} no values")
@@ -269,6 +267,12 @@ def _point_payload(point) -> dict:
     }
 
 
+def _identity(slice_: RunSlice, replication: int, seed: int) -> dict:
+    """The record fields that say which run of the plan a record is."""
+    return {"fingerprint": slice_.fingerprint, "slice": slice_.as_dict(),
+            "replication": replication, "seed": seed}
+
+
 def run_single(slice_: RunSlice, replication: int, seed: int,
                metric_params: MetricParams = MetricParams(),
                variation: VariationConfig = VariationConfig()) -> RunRecord:
@@ -287,15 +291,12 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
                            variation, rng)
     report = score_final_set(result.front, problem, metric_params)
     return RunRecord(
-        fingerprint=slice_.fingerprint,
-        slice=slice_.as_dict(),
-        replication=replication,
-        seed=seed,
+        **_identity(slice_, replication, seed),
         spent=result.spent,
         eval_log=[[int(u), int(g), s] for u, g, *s in result.log.tolist()],
         final_population=[_point_payload(p) for p in result.population],
         returned_set=[_point_payload(p) for p in result.front],
-        metrics=report.as_dict(),
+        metrics=asdict(report),
     )
 
 
@@ -375,10 +376,9 @@ def load_records(config: ExperimentConfig, out_dir: str | Path,
     holds an empty ``eval_log``, which is nearly all of a record file.
 
     Raises :class:`EvaluationError` listing every missing (fingerprint,
-    replication) pair, or naming the first record made under other inputs:
-    a ``seed`` not derived from the config's base seed, or a metric
-    parameter (``pf_sample_size``, ``igd_power``, ``nadir``) the config's
-    ``metrics`` would not give.
+    replication) pair, or naming the first record made under other inputs
+    and its first key (a slice's as ``slice.<key>``) that differs from its
+    plan entry's identity or from the metric inputs the config gives.
     """
     runs = config.runs(budget)
     missing = [(slice_.fingerprint, rep) for slice_, rep, _ in runs
@@ -387,15 +387,17 @@ def load_records(config: ExperimentConfig, out_dir: str | Path,
         listing = "\n".join(f"  ({fp}, {rep})" for fp, rep in missing)
         raise EvaluationError(f"{len(missing)} of {len(runs)} records missing in "
                               f"{Path(out_dir) / 'records'} (fingerprint, rep):\n{listing}")
-    params = config.metrics
-    expected = {"pf_sample_size": params.n_pf, "igd_power": params.igd_power,
-                "nadir": reference(params)[1].tolist()}  # as stored
+    def by_key(values: dict) -> dict:  # the slice's keys as ``slice.<key>``, in its place
+        slice_keys = {f"slice.{key}": value for key, value in values.pop("slice").items()}
+        return {**values, **slice_keys}
+
+    inputs = report_inputs(config.metrics)
     records = []
     for slice_, rep, seed in runs:
         path = record_path(out_dir, slice_, rep)
         record = load_record(path)
-        found = {"seed": record.seed, **record.metrics}
-        for key, value in {"seed": seed, **expected}.items():
+        found = by_key({**vars(record), **record.metrics})
+        for key, value in by_key({**_identity(slice_, rep, seed), **inputs}).items():
             if found[key] != value:
                 raise EvaluationError(
                     f"record {path} was made under other inputs: {key} is {found[key]}, "

@@ -10,7 +10,7 @@ quality instead of noise luck is the whole point of the filter.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,13 +39,10 @@ class MetricReport:
     hv_normalized: float
     igd: float
     igd_power: float
-    nadir: tuple[float, ...]
+    nadir: list
     pf_sample_size: int
     n_returned: int
     n_filtered: int
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "nadir": list(self.nadir)}
 
 
 def true_nondominated_filter(returned: list[EvaluatedPoint],
@@ -107,6 +104,12 @@ def reference(params: MetricParams) -> tuple[np.ndarray, np.ndarray, float]:
     return pf, nadir, hv_true
 
 
+def report_inputs(params: MetricParams) -> dict:
+    """The metric inputs a :class:`MetricReport` holds, as a record stores them."""
+    return {"igd_power": params.igd_power, "pf_sample_size": params.n_pf,
+            "nadir": reference(params)[1].tolist()}
+
+
 def igd_p(points: np.ndarray, pf: np.ndarray, power: float = 2.0) -> float:
     """Power mean of distances from front samples to their nearest set member."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -128,9 +131,7 @@ def score_final_set(returned: list[EvaluatedPoint], problem: NoisyProblem,
         hv_raw = hypervolume(true_means, nadir)
         igd = igd_p(true_means, pf, params.igd_power)
     else:
-        hv_raw = 0.0
-        igd = float("inf")
+        hv_raw, igd = 0.0, float("inf")
     return MetricReport(hv_raw=hv_raw, hv_normalized=hv_raw / denom, igd=igd,
-                        igd_power=params.igd_power, nadir=tuple(float(v) for v in nadir),
-                        pf_sample_size=params.n_pf, n_returned=len(returned),
-                        n_filtered=len(filtered))
+                        n_returned=len(returned), n_filtered=len(filtered),
+                        **report_inputs(params))

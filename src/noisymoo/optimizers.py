@@ -147,11 +147,9 @@ def _initialize_arb(ev: Evaluator, strategy: ArbStrategy, popsize: int) -> list[
 
 def check_run_shape(strategy: ResamplingStrategy, popsize: int | None, budget: int) -> None:
     """Raise :class:`EvaluationError` for a run the strategy's loop cannot
-    run: an RTEA ``p`` outside 1..budget (RTEA takes no ``popsize``), or a
+    run: an RTEA ``p`` above the budget (RTEA takes no ``popsize``), or a
     popsize, budget or arb ``init_popsize`` that :func:`nsga2_run` cannot run."""
     if strategy.loop == "rtea":
-        if strategy.p < 1:
-            raise EvaluationError(f"rtea initial sample p={strategy.p} must be at least 1")
         if strategy.p > budget:
             raise EvaluationError(f"rtea initial sample p={strategy.p} exceeds the budget {budget}")
         return

@@ -19,17 +19,17 @@ class EvaluationError(ValueError):
     """Raised when an operation is called on inconsistent or empty inputs."""
 
 
-_SCALARS = {t.__name__: t for t in (bool, int, float, str)}
+_TYPES = {t.__name__: t for t in (bool, int, float, str, list, dict)}
 
 
 def from_mapping(cls, raw: dict, what: str):
     """``cls(**raw)`` for a dataclass ``cls``. Raises :class:`EvaluationError`
     if the mapping ``raw`` (a config section or a record) is not a mapping,
     naming every key that is not an init field of ``cls``, every required
-    field it lacks, and the first value whose type is not its field's
-    ``bool``, ``int``, ``float`` or ``str``: its annotation (a string, under
-    ``from __future__ import annotations``), else its default's type (a
-    ``float`` takes an ``int`` but no NaN or infinity; a ``bool`` is no ``int``)."""
+    field it lacks, and the first given value whose type is not its field's
+    ``bool``, ``int``, ``float``, ``str``, ``list`` or ``dict`` annotation (a
+    string, under ``from __future__ import annotations``), else its default's
+    type (a ``float`` takes an ``int`` but no NaN or infinity; a ``bool`` is no ``int``)."""
     if not isinstance(raw, dict):
         raise EvaluationError(f"expected a mapping of {what}s, got {type(raw).__name__}")
     init = [f for f in fields(cls) if f.init]
@@ -42,8 +42,8 @@ def from_mapping(cls, raw: dict, what: str):
         raise EvaluationError(f"missing {what}(s): {', '.join(missing)}")
     for f in init:
         value = raw.get(f.name, f.default)
-        want, got = _SCALARS.get(f.type, type(f.default)), type(value)
-        if want in _SCALARS.values() and got is not want \
+        want, got = _TYPES.get(f.type, type(f.default)), type(value)
+        if f.name in raw and want in _TYPES.values() and got is not want \
                 and not (want is float and got is int):
             raise EvaluationError(f"{what} {f.name} must be {want.__name__}, "
                                   f"got {got.__name__}")
@@ -164,7 +164,7 @@ class EvaluatedPoint:
 
     decision: np.ndarray
     samples: list[np.ndarray] = field(default_factory=list)
-    mean: np.ndarray | None = None
+    mean: np.ndarray | None = field(default=None, init=False)
     uid: int = -1
     true_mean: np.ndarray | None = field(default=None, repr=False, compare=False)
     _sum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)

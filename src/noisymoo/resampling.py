@@ -175,7 +175,7 @@ class RteaStrategy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.z < 1.0:
             raise EvaluationError("refinement fraction must lie in [0, 1)")
-        require_at_least(self, 1, "k")
+        require_at_least(self, 1, "k", "p")
 
 
 ResamplingStrategy = Union[StaticStrategy, TimeStrategy, RankStrategy,

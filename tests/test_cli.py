@@ -138,7 +138,7 @@ BAD_CONFIGS = {
     "rtea_p_above_budget": ({"strategies": [{"kind": "rtea", "grid": {"p": [400]}}]},
                             "rtea initial sample p=400 exceeds the budget"),
     "rtea_p_zero": ({"strategies": [{"kind": "rtea", "grid": {"p": [0]}}]},
-                    "rtea initial sample p=0 must be at least 1"),
+                    "p must be at least 1, got 0"),
     "grid_loop": ({"strategies": [{"kind": "static", "grid": {"loop": ["rtea"]}}]}, "loop"),
     "metrics_bogus": ({"metrics": {"bogus": 1}}, "bogus"),
     "variation_bogus": ({"variation": {"sbx_eta": 5.0, "sbx_prob": 0.9,
@@ -274,12 +274,32 @@ def test_unreadable_config_exits_2_with_one_line(command, case, config_path, tmp
     assert not (tmp_path / "out").exists()
 
 
-# id -> (config edit after the sweep, the record key the error line must name)
+def _edited(edit):
+    """A damage that parses a record's text, applies ``edit`` to it, and writes it back."""
+    def damage(text):
+        raw = json.loads(text)
+        edit(raw)
+        return json.dumps(raw)
+    return damage
+
+
+def _flip_n(raw):
+    strategy = raw["slice"]["strategy"]
+    strategy["n"] = 3 - strategy["n"]  # the sweep's n is 1 or 2
+
+
+# id -> (config edit after the sweep, edit of one record file's JSON or None,
+# the key the error line must name)
 OTHER_INPUTS = {
-    "base_seed": ({"base_seed": 12}, "seed"),
-    "nadir_delta": ({"metrics": {"nadir_delta": 0.5}}, "nadir"),
-    "n_pf": ({"metrics": {"n_pf": 500}}, "pf_sample_size"),
-    "igd_power": ({"metrics": {"igd_power": 1.0}}, "igd_power"),
+    "base_seed": ({"base_seed": 12}, None, "seed"),
+    "nadir_delta": ({"metrics": {"nadir_delta": 0.5}}, None, "nadir"),
+    "n_pf": ({"metrics": {"n_pf": 500}}, None, "pf_sample_size"),
+    "igd_power": ({"metrics": {"igd_power": 1.0}}, None, "igd_power"),
+    "fingerprint": ({}, lambda raw: raw.update(fingerprint="0" * 16), "fingerprint"),
+    "replication": ({}, lambda raw: raw.update(replication=1 - raw["replication"]),
+                    "replication"),
+    "slice_noise": ({}, lambda raw: raw["slice"].update(noise={"kind": "none"}), "slice.noise"),
+    "slice_strategy_n": ({}, _flip_n, "slice.strategy"),
 }
 READERS = {"report": [], "select": ["--protocol", "split"]}
 
@@ -294,9 +314,13 @@ def test_records_made_under_other_inputs_are_refused(command, change, config_pat
     config_path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
-    before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
 
-    edit, key = OTHER_INPUTS[change]
+    edit, record_edit, key = OTHER_INPUTS[change]
+    record = sorted((out / "records").iterdir())[0]
+    original = record.read_text()
+    if record_edit is not None:
+        record.write_text(_edited(record_edit)(original))
+    before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
     changed = tmp_path / "changed.json"
     changed.write_text(json.dumps({**config, **edit}))
     capsys.readouterr()
@@ -308,16 +332,8 @@ def test_records_made_under_other_inputs_are_refused(command, change, config_pat
     assert sorted(p.name for p in out.iterdir()) == ["records"]
     assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
 
+    record.write_text(original)
     assert main([*argv, "--config", str(config_path)]) == 0
-
-
-def _edited(edit):
-    """A damage that parses a record's text, applies ``edit`` to it, and writes it back."""
-    def damage(text):
-        raw = json.loads(text)
-        edit(raw)
-        return json.dumps(raw)
-    return damage
 
 
 # id -> how a record file's text is damaged
@@ -334,6 +350,10 @@ DAMAGED_RECORDS = {
     "metrics_hv_normalized_str": _edited(lambda raw: raw["metrics"].update(hv_normalized="0.5")),
     "metrics_n_returned_float": _edited(lambda raw: raw["metrics"].update(n_returned=1.5)),
     "slice_budget_str": _edited(lambda raw: raw["slice"].update(budget=str(raw["slice"]["budget"]))),
+    "eval_log_str": _edited(lambda raw: raw.update(eval_log="x")),
+    "returned_set_dict": _edited(lambda raw: raw.update(returned_set={})),
+    "slice_noise_list": _edited(lambda raw: raw["slice"].update(noise=[1])),
+    "slice_strategy_str": _edited(lambda raw: raw["slice"].update(strategy="static")),
 }
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisymoo.metrics import (MetricParams, hypervolume, igd_p, reference, score_final_set,
-                              true_nondominated_filter)
+from noisymoo.metrics import (MetricParams, hypervolume, igd_p, reference, report_inputs,
+                              score_final_set, true_nondominated_filter)
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
 from noisymoo.problems import make_problem, sample_true_pf
 
@@ -127,6 +127,18 @@ class TestNormalizedHypervolume:
         problem = make_problem("uf1")
         assert reference(MetricParams())[1] == pytest.approx([1.1, 1.1])
         assert score_final_set([], problem).nadir == pytest.approx((1.1, 1.1))
+
+    @pytest.mark.parametrize("params", [MetricParams(),
+                                        MetricParams(n_pf=500, nadir_delta=0.3, igd_power=1.0)],
+                             ids=["default", "other"])
+    def test_report_inputs_are_the_reports(self, params):
+        problem = make_problem("uf1")
+        for returned in ([], on_front(problem, [0.25, 0.5])):
+            report = score_final_set(returned, problem, params)
+            assert report_inputs(params) == {"igd_power": report.igd_power,
+                                             "pf_sample_size": report.pf_sample_size,
+                                             "nadir": report.nadir}
+        assert report_inputs(params)["nadir"] == reference(params)[1].tolist()
 
     def test_reference_is_shared_read_only(self):
         pf, nadir, hv_true = reference(MetricParams())

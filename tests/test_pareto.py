@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -301,6 +301,26 @@ class _Row:
 def test_from_mapping_checks_a_field_by_its_annotation(raw, error):
     with pytest.raises(EvaluationError, match=error):
         from_mapping(_Row, raw, "row key")
+
+
+@dataclass(frozen=True)
+class _Bag:
+    items: "list"
+    extra: "dict" = field(default_factory=dict)
+
+
+@pytest.mark.parametrize("raw, error", [
+    ({"items": "x"}, "bag key items must be list, got str"),
+    ({"items": {}}, "bag key items must be list, got dict"),
+    ({"items": [], "extra": [1]}, "bag key extra must be dict, got list"),
+])
+def test_from_mapping_checks_a_container_field_it_is_given(raw, error):
+    with pytest.raises(EvaluationError, match=error):
+        from_mapping(_Bag, raw, "bag key")
+
+
+def test_from_mapping_keeps_the_default_of_an_absent_container():
+    assert from_mapping(_Bag, {"items": [1]}, "bag key") == _Bag([1], {})
 
 
 def test_from_mapping_takes_an_int_for_a_float():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymoo.pareto import EvaluatedPoint, EvaluationError, nondominated_sort
-from noisymoo.resampling import (ArbStrategy, DecisionContext, RankStrategy,
+from noisymoo.resampling import (ArbStrategy, DecisionContext, RankStrategy, RteaStrategy,
                                  SeErrorStrategy, StaticStrategy, StrengthStrategy,
                                  TimeStrategy, all_strengths, should_resample,
                                  strategy_from_dict)
@@ -188,3 +188,9 @@ class TestDecide:
         for strategy in (TimeStrategy(n_max=1), RankStrategy(n_max=1),
                          StrengthStrategy(n_max=1)):
             assert should_resample(strategy, ctx, 0) is False
+
+
+@pytest.mark.parametrize("name", ["k", "p"])
+def test_rtea_counts_are_at_least_one(name):
+    with pytest.raises(EvaluationError, match=f"{name} must be at least 1, got 0"):
+        RteaStrategy(**{name: 0})

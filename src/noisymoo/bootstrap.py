@@ -145,33 +145,29 @@ def bootstrap_means_pooled(point: EvaluatedPoint, dispersion: DispersionSet,
     return bootstrap_means_stacked([point], dispersion, n_draws, rng)[0]
 
 
-def dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray, *, strict: bool = True) -> float:
-    """Fraction of cross pairs (a, b) where a dominates b in every coordinate.
+def dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray) -> float:
+    """Fraction of cross pairs (a, b) where a_d < b_d in every coordinate d.
 
-    ``strict`` demands a_d < b_d in all coordinates (the default); the weak
-    variant uses <= instead. Always in [0, 1], and the strict variant
-    satisfies P(A over B) + P(B over A) <= 1.
+    Always in [0, 1], and P(A over B) + P(B over A) <= 1.
     """
-    hits = weak_dominance(draws_a, draws_b, strict=strict)
+    hits = weak_dominance(draws_a, draws_b, strict=True)
     return np.count_nonzero(hits) / hits.size
 
 
-def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray,
-                    strict: bool) -> np.ndarray:
+def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray) -> np.ndarray:
     """(T, R) counts of cross pairs where the candidate beats rival r on objective t.
 
     The counts only bound the dominance probability (module docstring).
     ``rival_draws`` has shape (R, B, T). A candidate draw beats a rival
-    draw on t when it is smaller (``strict``) or not larger. Sorting each
-    rival's keys changes no row sum but makes the binary searches run
-    over ascending keys, which roughly halves their cost.
+    draw on t when it is smaller. Sorting each rival's keys changes no row
+    sum but makes the binary searches run over ascending keys, which roughly
+    halves their cost.
     """
-    side = "left" if strict else "right"
     wins = np.empty((rival_draws.shape[2], rival_draws.shape[0]), dtype=np.int64)
     for t in range(rival_draws.shape[2]):
         column = np.sort(candidate_draws[:, t])
         keys = np.sort(rival_draws[:, :, t], axis=1)
-        wins[t] = column.searchsorted(keys, side=side).sum(axis=1)
+        wins[t] = column.searchsorted(keys).sum(axis=1)
     return wins
 
 
@@ -181,12 +177,11 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     """Decide whether the candidate deserves another evaluation.
 
     Computes p* = max over front members (the candidate itself excluded) of
-    the bootstrap probability that the candidate's mean dominates (weakly
-    under ``strategy.weak_indicator``) the member's mean, with
-    ``strategy.n_boot`` fresh replicates per point. One random draw covers
-    the whole decision, in segments: the candidate's first, then each
-    rival's in front order. Returns False when p* > alpha_u (confidently
-    good) or p* < alpha_l (hopeless), True inside the band, as
+    the bootstrap probability that the candidate's mean strictly dominates
+    the member's mean, with ``strategy.n_boot`` fresh replicates per point.
+    One random draw covers the whole decision, in segments: the candidate's
+    first, then each rival's in front order. Returns False when p* > alpha_u
+    (confidently good) or p* < alpha_l (hopeless), True inside the band, as
     ``strategy.side`` places it. A sole front member has no comparison
     target, which counts as p* = 0. Exact counts are taken only where the
     per-objective bounds (module docstring) leave the side of p* open.
@@ -196,10 +191,10 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     rivals = [s for s in front if s is not candidate]
     if not rivals:
         return False
-    n_draws, strict = strategy.n_boot, not strategy.weak_indicator
+    n_draws = strategy.n_boot
     draws = bootstrap_means_stacked([candidate, *rivals], dispersion, n_draws, rng)
     candidate_draws, rival_draws = draws[0], draws[1:]
-    wins = _objective_wins(candidate_draws, rival_draws, strict)
+    wins = _objective_wins(candidate_draws, rival_draws)
     pairs = n_draws * n_draws
     upper = wins.min(axis=0) / pairs
     lower = (wins.sum(axis=0) - (wins.shape[0] - 1) * pairs) / pairs
@@ -207,6 +202,5 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     for r in np.argsort(-upper, kind="stable"):
         if strategy.side(p_low) == strategy.side(max(p_low, float(upper[r]))):
             break
-        p_low = max(p_low, dominance_probability(candidate_draws, rival_draws[r],
-                                                 strict=strict))
+        p_low = max(p_low, dominance_probability(candidate_draws, rival_draws[r]))
     return strategy.side(p_low) == 0

@@ -35,7 +35,7 @@ from .metrics import MetricParams, MetricReport, report_inputs, score_final_set
 from .optimizers import check_run_shape, nsga2_run, rtea_run
 from .pareto import EvaluationError, from_mapping, require_at_least
 from .problems import NOISE_KINDS, NoiseLaw, make_problem
-from .resampling import ResamplingStrategy, strategy_from_dict, strategy_type
+from .resampling import strategy_from_dict, strategy_type
 from .variation import VariationConfig
 
 SCHEMA_VERSION = 1
@@ -78,9 +78,6 @@ class RunSlice:
     @property
     def family(self) -> str:
         return strategy_type(self.strategy["kind"]).family
-
-    def make_strategy(self) -> ResamplingStrategy:
-        return strategy_from_dict(self.strategy)
 
 
 def strategy_label(strategy: dict) -> str:
@@ -278,7 +275,7 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
                variation: VariationConfig = VariationConfig()) -> RunRecord:
     """Execute one slice deterministically and score its returned set; refuse
     a slice whose ``mode`` is not its kind's loop."""
-    strategy = slice_.make_strategy()
+    strategy = strategy_from_dict(slice_.strategy)
     if slice_.mode != strategy.loop:
         raise EvaluationError(f"{strategy.kind} runs the {strategy.loop} loop, "
                               f"not mode {slice_.mode!r}")
@@ -398,10 +395,10 @@ def load_records(config: ExperimentConfig, out_dir: str | Path,
         record = load_record(path)
         found = by_key({**vars(record), **record.metrics})
         for key, value in by_key({**_identity(slice_, rep, seed), **inputs}).items():
-            if found[key] != value:
+            if _canonical(found[key]) != _canonical(value):
                 raise EvaluationError(
-                    f"record {path} was made under other inputs: {key} is {found[key]}, "
-                    f"this config gives {value}")
+                    f"record {path} was made under other inputs: {key} is "
+                    f"{_canonical(found[key])}, this config gives {_canonical(value)}")
         records.append(replace(record, eval_log=[]))
     return records
 

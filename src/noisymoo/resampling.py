@@ -94,35 +94,24 @@ class StrengthStrategy(BudgetShare):
 
 @dataclass(frozen=True)
 class SeErrorStrategy:
-    """Resample while the aggregated standard error exceeds a threshold.
-
-    ``true_se`` divides the per-objective sample standard deviation by
-    sqrt(N); switching it off uses the plain standard deviation instead. A
-    point seen once has no standard error yet and always gets a second look.
+    """Resample while the largest per-objective standard error exceeds a
+    threshold. A point seen once has no standard error yet and always gets a
+    second look.
     """
 
     threshold: float = 0.05
-    aggregation: str = "max"
-    true_se: bool = True
     kind: str = field(default="sederror", init=False)
     family: ClassVar[str] = "dynamic"
     loop: ClassVar[str] = "sequential"
 
-    def __post_init__(self) -> None:
-        if self.aggregation not in ("max", "mean"):
-            raise EvaluationError("aggregation must be 'max' or 'mean'")
-
     def standard_error(self, point: EvaluatedPoint) -> float:
-        """Per objective, the unbiased sample standard deviation of ``point``,
-        divided by sqrt(N) when ``true_se`` is set, then the max or mean across
-        objectives. Undefined for N = 1."""
+        """Per objective, the unbiased sample standard deviation of ``point``
+        divided by sqrt(N), then the max across objectives. Undefined for N = 1."""
         n = point.count
         if n < 2:
             raise EvaluationError("standard error needs at least two samples")
-        sd = np.std(np.asarray(point.samples), axis=0, ddof=1)
-        if self.true_se:
-            sd = sd / np.sqrt(n)
-        return float(sd.max()) if self.aggregation == "max" else float(sd.mean())
+        sd = np.std(np.asarray(point.samples), axis=0, ddof=1) / np.sqrt(n)
+        return float(sd.max())
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,6 @@ class ArbStrategy:
     capacity: int = 100
     init_popsize: int = 120
     seed_size: int = 100
-    weak_indicator: bool = False
     kind: str = field(default="arb", init=False)
     family: ClassVar[str] = "arb"
     loop: ClassVar[str] = "sequential"

@@ -140,17 +140,13 @@ def brute_environmental_select(objs: np.ndarray, popsize: int) -> list[int]:
     return chosen
 
 
-def brute_dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray,
-                                strict: bool = True) -> float:
+def brute_dominance_probability(draws_a: np.ndarray, draws_b: np.ndarray) -> float:
     hits = 0
     for a in draws_a:
         for b in draws_b:
             ok = True
             for x, y in zip(a, b):
-                if strict and not x < y:
-                    ok = False
-                    break
-                if not strict and not x <= y:
+                if not x < y:
                     ok = False
                     break
             if ok:

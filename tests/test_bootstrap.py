@@ -262,8 +262,6 @@ class TestDominanceProbability:
             a = rng.normal(size=(na, t))
             b = rng.normal(size=(nb, t))
             assert dominance_probability(a, b) == brute_dominance_probability(a, b)
-            assert (dominance_probability(a, b, strict=False)
-                    == brute_dominance_probability(a, b, strict=False))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -326,31 +324,28 @@ class TestArbDecision:
         with pytest.raises(EvaluationError):
             ArbStrategy(alpha_l=float(np.nextafter(0.5, 1.0)), alpha_u=0.75)
 
-    @pytest.mark.parametrize("weak", [False, True])
-    def test_matches_pairwise_maximum(self, weak):
+    def test_matches_pairwise_maximum(self):
         rng = np.random.default_rng(9)
         ds = DispersionSet()
         for _ in range(30):
             ds.push(rng.normal(size=2))
         candidate = point(*[tuple(rng.normal(size=2)) for _ in range(3)])
         rivals = [point(*[tuple(rng.normal(size=2)) for _ in range(k)]) for k in (1, 2, 4)]
-        strategy = ArbStrategy(alpha_l=0.2, alpha_u=0.9, weak_indicator=weak)
+        strategy = ArbStrategy(alpha_l=0.2, alpha_u=0.9)
         decision = arb_decide(candidate, rivals, ds, strategy, np.random.default_rng(77))
         rng2 = np.random.default_rng(77)
         cand_draws = bootstrap_means_pooled(candidate, ds, 100, rng2)
         p_star = max(brute_dominance_probability(
-            cand_draws, bootstrap_means_pooled(r, ds, 100, rng2), strict=not weak)
-            for r in rivals)
+            cand_draws, bootstrap_means_pooled(r, ds, 100, rng2)) for r in rivals)
         expected = not (p_star > 0.9 or p_star < 0.2)
         assert decision is expected
 
     @pytest.mark.parametrize("n_obj", [2, 3])
-    @pytest.mark.parametrize("weak", [False, True])
-    def test_bounds_then_counts_matches_bruteforce_maximum(self, monkeypatch, weak, n_obj):
+    def test_bounds_then_counts_matches_bruteforce_maximum(self, monkeypatch, n_obj):
         # Draws are fixed per point and rounded to a 0.5 grid, so single
         # objectives tie often. Thresholds sit one ulp below, at and one ulp
         # above the brute-force p*, plus the default band.
-        rng = np.random.default_rng(100 + 10 * n_obj + weak)
+        rng = np.random.default_rng(100 + 10 * n_obj)
         n_draws = 20
         draws = {}
         monkeypatch.setattr(bootstrap, "bootstrap_means_stacked",
@@ -359,9 +354,9 @@ class TestArbDecision:
         exact_calls = []
         dominance = bootstrap.dominance_probability
 
-        def counted(a, b, *, strict):
+        def counted(a, b):
             exact_calls.append(1)
-            return dominance(a, b, strict=strict)
+            return dominance(a, b)
 
         monkeypatch.setattr(bootstrap, "dominance_probability", counted)
         bound_only = some_exact = 0
@@ -373,15 +368,15 @@ class TestArbDecision:
                 centre = rng.uniform(0, 2, size=n_obj)
                 draws[id(pt)] = np.round(2 * rng.normal(centre, 1.0, (n_draws, n_obj))) / 2
             candidate, rivals = front[0], front[1:]
-            p_star = max(brute_dominance_probability(draws[id(candidate)], draws[id(r)],
-                                                     strict=not weak) for r in rivals)
+            p_star = max(brute_dominance_probability(draws[id(candidate)], draws[id(r)])
+                         for r in rivals)
             bands = [(0.2, 0.9)]
             for alpha in (np.nextafter(p_star, -1.0), p_star, np.nextafter(p_star, 2.0)):
                 bands.append((alpha, 0.9) if p_star < 0.5 else (0.2, alpha))
             for alpha_l, alpha_u in bands:
                 try:
                     strategy = ArbStrategy(alpha_l=float(alpha_l), alpha_u=float(alpha_u),
-                                           n_boot=n_draws, weak_indicator=weak)
+                                           n_boot=n_draws)
                 except EvaluationError:
                     continue  # p* at 0 or 1 leaves no room on one side
                 exact_calls.clear()

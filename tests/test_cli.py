@@ -203,6 +203,14 @@ BAD_CONFIGS = {
     "arb_seed_size_zero": ({"strategies": [{"kind": "arb",
                                             "grid": {**SMALL_ARB, "seed_size": [0]}}]},
                            "seed_size must be at least 1, got 0"),
+    "arb_weak_indicator": ({"strategies": [{"kind": "arb",
+                                            "grid": {**SMALL_ARB, "weak_indicator": [True]}}]},
+                           "unknown arb parameter(s): weak_indicator"),
+    "sederror_aggregation": ({"strategies": [{"kind": "sederror",
+                                              "grid": {"aggregation": ["mean"]}}]},
+                             "unknown sederror parameter(s): aggregation"),
+    "sederror_true_se": ({"strategies": [{"kind": "sederror", "grid": {"true_se": [False]}}]},
+                         "unknown sederror parameter(s): true_se"),
     "noise_sigma_nan": ({"noise": [{"kind": "gaussian", "sigma": float("nan")}]},
                         "noise key sigma must be finite, got nan"),
     "noise_sigma_inf": ({"noise": [{"kind": "gaussian", "sigma": float("inf")}]},
@@ -300,6 +308,11 @@ OTHER_INPUTS = {
                     "replication"),
     "slice_noise": ({}, lambda raw: raw["slice"].update(noise={"kind": "none"}), "slice.noise"),
     "slice_strategy_n": ({}, _flip_n, "slice.strategy"),
+    # The first record's n is 1, which 1.0 and true equal under ==.
+    "slice_strategy_n_float": ({}, lambda raw: raw["slice"]["strategy"].update(n=1.0),
+                               "slice.strategy"),
+    "slice_strategy_n_bool": ({}, lambda raw: raw["slice"]["strategy"].update(n=True),
+                              "slice.strategy"),
 }
 READERS = {"report": [], "select": ["--protocol", "split"]}
 

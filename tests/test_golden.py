@@ -1,16 +1,15 @@
 """Golden records: pinned sha256 digests of canonical records for tiny slices.
 
-One slice per strategy kind (plus arb's weak indicator and RTEA), at the
-sizes of ``tests/test_cli.py``: popsize 6, budget 300. One more arb slice
-runs at Gaussian sigma 0.01, popsize 20, budget 600: there the front its
-arb decisions read holds about 12 points on average, so the bounds and
-exact counts of ``arb_decide`` are both exercised. Any change to a
-random-stream order, a decision rule or the record layout changes a
-digest, so a refactor that must keep records byte-identical shows it here
-in seconds instead of waiting for the desk-scale criterion. Two more slices
-cover the other mean functions and noise kinds: UF2 without noise (static
-n = 2, so every re-evaluation repeats the mean exactly) and UF3 under
-chi-square noise (df 1, sigma 1.0) with arb.
+One slice per strategy kind, at the sizes of ``tests/test_cli.py``: popsize
+6, budget 300. One more arb slice runs at Gaussian sigma 0.01, popsize 20,
+budget 600: there the front its arb decisions read holds about 12 points on
+average, so the bounds and exact counts of ``arb_decide`` are both
+exercised. Any change to a random-stream order, a decision rule or the
+record layout changes a digest, so a refactor that must keep records
+byte-identical shows it here in seconds instead of waiting for the
+desk-scale criterion. Two more slices cover the other mean functions and
+noise kinds: UF2 without noise (static n = 2, so every re-evaluation repeats
+the mean exactly) and UF3 under chi-square noise (df 1, sigma 1.0) with arb.
 """
 
 import hashlib
@@ -37,8 +36,6 @@ GOLDEN = {
                  "7a3f0dadb641dcbee34636d3a12db3c90919a0a753812e0758b352250c4cedde", {}),
     "arb": (ARB, "sequential",
             "6ad2e6a8f572233052b87d1a6ca5be6dd1d02e2ade97f4111abdd6b9a1808294", {}),
-    "arb_weak": ({**ARB, "weak_indicator": True}, "sequential",
-                 "ca8b6e8d92c0d2d0d266263db9874f0befdb2e71e74d14041e39c4c94723e96e", {}),
     "arb_many_rivals": ({**ARB, "init_popsize": 24, "seed_size": 20}, "sequential",
                         "2743f0d8fe84d2a5e4570f8c92ff480e52c1138372ead3bbff2c3a886b96e3fd",
                         {"noise": {"kind": "gaussian", "sigma": 0.01}, "popsize": 20,

@@ -144,7 +144,7 @@ class TestConfigAndSlices:
             slices = config.slices(budget)
             assert len(slices) == 1482
             for slice_ in slices:
-                slice_.make_strategy()
+                strategy_from_dict(slice_.strategy)
                 fingerprints += slice_.fingerprint
         # Fingerprints seed every run: the config -> slice path must not move them.
         assert hashlib.sha256(fingerprints.encode()).hexdigest() == (

@@ -81,8 +81,8 @@ class TestRankAndTime:
         assert TimeStrategy().share(0, ctx_for(pop, n_gen=n_gen, max_gen=100)) == expected
 
 
-def se_decide(pt, threshold, aggregation="max"):
-    strategy = SeErrorStrategy(threshold=threshold, aggregation=aggregation)
+def se_decide(pt, threshold):
+    strategy = SeErrorStrategy(threshold=threshold)
     return should_resample(strategy, ctx_for(nondominated_sort([pt])), 0)
 
 
@@ -98,20 +98,15 @@ class TestStandardError:
     def test_hand_computed_threshold_boundary(self):
         # per-objective samples {0, 2}: sd = sqrt(2), se = 1; not > 1
         pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(0, 0), vec(2, 2)])
-        assert SeErrorStrategy(aggregation="max").standard_error(pt) == pytest.approx(1.0)
-        assert se_decide(pt, 1.0, "max") is False
-        assert se_decide(pt, 0.999, "max") is True
+        assert SeErrorStrategy().standard_error(pt) == pytest.approx(1.0)
+        assert se_decide(pt, 1.0) is False
+        assert se_decide(pt, 0.999) is True
 
-    def test_verbatim_variant_skips_sqrt_n(self):
-        pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(0, 0), vec(2, 2)])
-        strategy = SeErrorStrategy(aggregation="max", true_se=False)
-        assert strategy.standard_error(pt) == pytest.approx(np.sqrt(2))
-
-    def test_mean_aggregation(self):
+    def test_max_over_objectives_with_unequal_spreads(self):
+        # per-objective se: 1 and 2; the max is 2 where the mean would be 1.5
         pt = EvaluatedPoint(decision=np.zeros(2), samples=[vec(0, 0), vec(2, 4)])
         sds = np.std([[0, 0], [2, 4]], axis=0, ddof=1)
-        assert SeErrorStrategy(aggregation="mean").standard_error(pt) == pytest.approx(
-            sds.mean() / np.sqrt(2))
+        assert SeErrorStrategy().standard_error(pt) == pytest.approx(sds.max() / np.sqrt(2))
 
 
 class TestDecide:
@@ -147,7 +142,7 @@ class TestDecide:
             strategy_from_dict(spec)
 
     def test_strategy_from_dict_round_trip(self):
-        s = strategy_from_dict({"kind": "sederror", "threshold": 0.01, "aggregation": "mean"})
+        s = strategy_from_dict({"kind": "sederror", "threshold": 0.01})
         assert isinstance(s, SeErrorStrategy)
         assert s.threshold == 0.01
 

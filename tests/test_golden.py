@@ -10,6 +10,8 @@ byte-identical shows it here in seconds instead of waiting for the
 desk-scale criterion. Two more slices cover the other mean functions and
 noise kinds: UF2 without noise (static n = 2, so every re-evaluation repeats
 the mean exactly) and UF3 under chi-square noise (df 1, sigma 1.0) with arb.
+The many-rivals arb slice also runs without noise: every replicate then
+equals its point's mean, so each rival's dominance probability is 0 or 1.
 """
 
 import hashlib
@@ -40,6 +42,9 @@ GOLDEN = {
                         "2743f0d8fe84d2a5e4570f8c92ff480e52c1138372ead3bbff2c3a886b96e3fd",
                         {"noise": {"kind": "gaussian", "sigma": 0.01}, "popsize": 20,
                          "budget": 600}),
+    "arb_none": ({**ARB, "init_popsize": 24, "seed_size": 20}, "sequential",
+                 "83802e19403119bb14f09cfd4e81922a9ef9c5688a8203a75cec52bd5fc5937a",
+                 {"noise": {"kind": "none"}, "popsize": 20, "budget": 600}),
     "rtea": ({"kind": "rtea", "k": 1, "z": 0.1, "p": 6}, "rtea",
              "082bb775d7ebe988aedef8a3ed8ed9db61c28e683eb206990b7a222c74ebadb4", {}),
     "uf2_none_static": ({"kind": "static", "n": 2}, "one_shot",

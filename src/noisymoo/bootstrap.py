@@ -3,41 +3,38 @@
 The pieces, bottom to top:
 
 * ``DispersionSet`` — a sliding pool of scaled, mean-centered residual
-  vectors: in an arb run the optimizers' ``Evaluator`` pushes the newest
-  one of every re-evaluation. Under the working assumption that dispersion
-  is roughly homogeneous across the decision space, this pool lends
-  variability to points observed only once.
-* ``bootstrap_means`` — bootstrap replicates of a point's sample mean from
-  its own samples, rescaled by sqrt(N / (N - 1)) so the replicate variance
-  matches the unbiased estimate s^2 / N instead of undershooting it.
-* ``bootstrap_means_pooled`` — the mixed scheme: one summand of every
-  replicate comes from the shared pool, the other N - 1 from the point's
-  own samples. With a single observation this degenerates to mean + pool
-  draw; as N grows the point's own dispersion dominates.
-  ``bootstrap_means_stacked`` is the same scheme for several points at
-  once: one random draw covers all of them, point by point, and gives the
-  same values and generator state as one call per point in that order.
+  vectors: in an arb run the ``Evaluator`` pushes the newest one of every
+  re-evaluation. Assuming dispersion is roughly homogeneous across the
+  decision space, the pool lends variability to points observed once.
+* ``bootstrap_means`` — replicates of a point's sample mean from its own
+  samples, rescaled by sqrt(N / (N - 1)) so their variance is s^2 / N.
+* ``bootstrap_means_stacked`` (one point: ``bootstrap_means_pooled``) — the
+  mixed scheme: one summand of a replicate comes from the pool, the other
+  N - 1 from the point's own samples, for several points from one draw.
 * ``dominance_probability`` — cross-pair frequency with which one replicate
   cloud strictly dominates another.
-* ``arb_decide`` — the adaptive resampling rule: spend another evaluation
-  only while the candidate's best chance of dominating a front member sits
-  inside the uncertainty band [alpha_l, alpha_u]. That chance p* is the
-  maximum of ``dominance_probability`` over the rivals, so the decision
-  runs on the same function the oracles check. The band belongs to
-  :class:`~noisymoo.resampling.ArbStrategy`, which checks it once when
-  built and places p* against it with ``side``.
+* ``arb_decide`` — spend another evaluation only while p*, the largest
+  ``dominance_probability`` of the candidate over a front member, lies in
+  :class:`~noisymoo.resampling.ArbStrategy`'s band [alpha_l, alpha_u].
 
-The decision needs only the side of the band p* falls on, so ``arb_decide``
-bounds before it counts. For each objective t and rival r it counts the
-cross pairs m_t where the candidate's draw beats the rival's on t alone
-(sort the candidate's column once, one ``searchsorted`` over all rivals).
-A pair that beats on every objective beats on each, so p_r <= min_t m_t;
-a pair that fails misses at least one objective, so p_r >= sum_t m_t -
-(T - 1) (the Frechet bound), with counts over the B^2 pairs. Rivals are
-then visited by falling upper bound, and ``dominance_probability`` is
-called only while the bounds on p* still straddle alpha_l or alpha_u. The
-counts are integers divided by the same B^2, so the bounds are exact and
-every decision equals the one taken on the exact maximum.
+``arb_decide`` first closes the rivals it cannot beat. A point's envelope
+is the smallest and largest replicate its draws can give, per objective:
+mean + (pool extreme + own extreme added N - 1 times) / N, computed in the
+replicate's own operation order. Rounded addition and division by N > 0
+are monotone, so the envelope bounds every replicate exactly, with no
+slack. If the candidate's low end is at or above a rival's high end on
+some objective, no replicate pair has the candidate strictly below there:
+that rival's p is exactly 0, and its replicates are neither built nor
+counted. The draw still covers every rival, so the stream does not move.
+
+For the rivals left it bounds before it counts. Per objective t it counts
+the cross pairs m_t where the candidate's draw beats a rival's on t alone
+(one sort, one ``searchsorted``). A pair that beats on every objective
+beats on each, so p_r <= min_t m_t; a pair that fails misses at least one,
+so p_r >= sum_t m_t - (T - 1) (Frechet), with counts over the B^2 pairs.
+Rivals are visited by falling upper bound, and ``dominance_probability``
+is called only while the bounds on p* straddle alpha_l or alpha_u. Both
+shortcuts are exact, so every decision equals the one on the exact p*.
 """
 
 from __future__ import annotations
@@ -66,6 +63,7 @@ class DispersionSet:
             raise EvaluationError("dispersion set capacity must be positive")
         self._entries: deque[np.ndarray] = deque(maxlen=capacity)
         self._centered: np.ndarray | None = None
+        self._range: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -82,7 +80,13 @@ class DispersionSet:
         if self._centered is None:
             raw = np.asarray(self._entries)
             self._centered = raw - raw.mean(axis=0)
+            self._range = np.sort(self._centered, axis=0)[[0, -1]]
         return self._centered
+
+    def column_range(self) -> np.ndarray:
+        """(2, T): column minimum and maximum of :meth:`centered`, cached with it."""
+        self.centered()
+        return self._range
 
 
 def bootstrap_means(point: EvaluatedPoint, n_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -103,7 +107,8 @@ def bootstrap_means(point: EvaluatedPoint, n_draws: int, rng: np.random.Generato
 
 
 def bootstrap_means_stacked(points: list[EvaluatedPoint], dispersion: DispersionSet,
-                            n_draws: int, rng: np.random.Generator) -> np.ndarray:
+                            n_draws: int, rng: np.random.Generator,
+                            build: list[bool] | None = None) -> np.ndarray:
     """Mixed bootstrap replicates of several points, shape (k, B, T).
 
     Row i holds point i's replicates: mean + (1/N) * (E + sum of N - 1 own
@@ -112,30 +117,45 @@ def bootstrap_means_stacked(points: list[EvaluatedPoint], dispersion: Dispersion
     whose bounds run point by point: B pool indices (bound: pool size), then
     B * (N - 1) own indices (bound: N). numpy draws an array of bounds
     element by element, so the values and the generator state afterwards
-    equal those of one sized call per segment in that order.
+    equal those of one sized call per segment in that order. ``build``, one
+    flag per point, limits the rows to the flagged points; the draw is the same.
     """
     pool = dispersion.centered()
     counts = [p.count for p in points]
-    draws = rng.integers(0, np.repeat([b for n in counts for b in (pool.shape[0], n)],
+    draws = rng.integers(0, np.repeat(np.array([b for n in counts for b in (pool.shape[0], n)]),
                                       [k for n in counts for k in (n_draws, n_draws * (n - 1))]))
-    out = np.empty((len(points), n_draws, pool.shape[1]))
-    start = 0
-    for i, (point, n) in enumerate(zip(points, counts)):
+    build = [True] * len(points) if build is None else build
+    out = np.empty((sum(build), n_draws, pool.shape[1]))
+    i = stop = 0
+    for point, n, wanted in zip(points, counts, build):
+        start, stop = stop, stop + n_draws * n
+        if not wanted:
+            continue
         pooled = pool.take(draws[start:start + n_draws], axis=0)
-        start += n_draws
         if n == 1:
             np.add(point.mean, pooled, out=out[i])
-            continue
-        residuals = point.scaled_residuals()
-        idx = draws[start:start + n_draws * (n - 1)].reshape(n_draws, n - 1)
-        start += n_draws * (n - 1)
-        # For T >= 2 objectives, summing the (n - 1, B, T) gather over its
-        # first axis adds the same terms in the same order as summing the
-        # (B, n - 1, T) gather over its middle axis, so the replicates are
-        # bit-identical; an ``np.add.reduceat`` sum reorders the terms and is not.
-        own = residuals.take(idx.T, axis=0).sum(axis=0)
-        out[i] = point.mean + (pooled + own) / n
+        else:
+            idx = draws[start + n_draws:stop].reshape(n_draws, n - 1)
+            # For T >= 2 objectives, summing the (n - 1, B, T) gather over its
+            # first axis adds the same terms in the same order as summing the
+            # (B, n - 1, T) gather over its middle axis, so the replicates are
+            # bit-identical; an ``np.add.reduceat`` sum reorders the terms and is not.
+            own = point.scaled_residuals().take(idx.T, axis=0).sum(axis=0)
+            out[i] = point.mean + (pooled + own) / n
+        i += 1
     return out
+
+
+def envelope(mean, own, count, pool) -> np.ndarray:
+    """mean + (pool + own) / count, the low (high) envelope from the low (high)
+    ends of the residual and pool ranges; arrays broadcast over stacked points."""
+    return mean + (pool + own) / count
+
+
+def high_terms(points: list[EvaluatedPoint]) -> list[np.ndarray]:
+    """The means (k, T), high residual ranges (k, T) and counts (k, 1) of ``points``."""
+    return [np.array([p.mean for p in points]), np.array([p.residual_range()[1] for p in points]),
+            np.array([[p.count] for p in points], dtype=float)]
 
 
 def bootstrap_means_pooled(point: EvaluatedPoint, dispersion: DispersionSet,
@@ -173,7 +193,7 @@ def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray) -> np.
 
 def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
                dispersion: DispersionSet, strategy: ArbStrategy,
-               rng: np.random.Generator) -> bool:
+               rng: np.random.Generator, front_high: np.ndarray | None = None) -> bool:
     """Decide whether the candidate deserves another evaluation.
 
     Computes p* = max over front members (the candidate itself excluded) of
@@ -183,17 +203,31 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     first, then each rival's in front order. Returns False when p* > alpha_u
     (confidently good) or p* < alpha_l (hopeless), True inside the band, as
     ``strategy.side`` places it. A sole front member has no comparison
-    target, which counts as p* = 0. Exact counts are taken only where the
-    per-objective bounds (module docstring) leave the side of p* open.
+    target, which counts as p* = 0. ``front_high``, the front's (F, T) high
+    envelopes if the caller keeps them, is computed here otherwise.
     """
     if not front:
         raise EvaluationError("the front must be nonempty")
     rivals = [s for s in front if s is not candidate]
     if not rivals:
         return False
-    n_draws = strategy.n_boot
-    draws = bootstrap_means_stacked([candidate, *rivals], dispersion, n_draws, rng)
-    candidate_draws, rival_draws = draws[0], draws[1:]
+    pool = dispersion.column_range()
+    high = envelope(*high_terms(front), pool[1]) if front_high is None else front_high
+    low = envelope(candidate.mean, candidate.residual_range()[0], candidate.count, pool[0])
+    beatable = (low < high).all(axis=1).tolist()
+    open_rivals = [ok for s, ok in zip(front, beatable) if s is not candidate]
+    draws = bootstrap_means_stacked([candidate, *rivals], dispersion, strategy.n_boot, rng,
+                                    [any(open_rivals), *open_rivals])
+    if not any(open_rivals):  # p* = 0, and nothing was built
+        return strategy.side(0.0) == 0
+    return decide_from_draws(draws[0], draws[1:], strategy)
+
+
+def decide_from_draws(candidate_draws: np.ndarray, rival_draws: np.ndarray,
+                      strategy: ArbStrategy) -> bool:
+    """Whether p*, the largest ``dominance_probability`` of ``candidate_draws``
+    over the rivals in ``rival_draws`` (R, B, T), lies in the band."""
+    n_draws = candidate_draws.shape[0]
     wins = _objective_wins(candidate_draws, rival_draws)
     pairs = n_draws * n_draws
     upper = wins.min(axis=0) / pairs

@@ -10,7 +10,8 @@ and execution order has no effect on any record. Records are written one JSON
 file per run, keyed by fingerprint and replication, which also makes
 re-running a completed sweep a no-op. Reading them back checks each
 record's identity and metric inputs against the run plan and the config, so
-a record made under other inputs is refused, not reported.
+a record made under other inputs is refused, not reported; a sweep checks
+the first record it finds the same way before it starts anything.
 
 Determinism contract: a record holds only reproducible fields and its file
 is its canonical JSON, so identical seeds give byte-identical record files
@@ -347,13 +348,19 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
     """Run the full grid x replications, skipping runs whose record exists.
 
     Returns the number of runs started. Runs are independent and may
-    execute in parallel; records land in ``out_dir/records`` and nothing is
-    read back. :func:`load_records` reads them in grid order, so every
-    downstream report is independent of execution order.
+    execute in parallel; records land in ``out_dir/records``. Only the first
+    record already there is read back, and one made under other inputs raises
+    :class:`EvaluationError` before anything starts or is deleted.
+    :func:`load_records` reads them in grid order, so every downstream
+    report is independent of execution order.
     """
+    runs = config.runs(budget)
+    done = [run for run in runs if record_path(out_dir, run[0], run[1]).exists()]
+    if done:
+        _load_checked(out_dir, done[0], report_inputs(config.metrics))
     remove_stale_temps(Path(out_dir) / "records")
     jobs_args = []
-    for slice_, rep, seed in config.runs(budget):
+    for slice_, rep, seed in runs:
         path = record_path(out_dir, slice_, rep)
         if not path.exists():
             jobs_args.append((slice_, rep, seed, config.metrics, str(path)))
@@ -384,23 +391,27 @@ def load_records(config: ExperimentConfig, out_dir: str | Path,
         listing = "\n".join(f"  ({fp}, {rep})" for fp, rep in missing)
         raise EvaluationError(f"{len(missing)} of {len(runs)} records missing in "
                               f"{Path(out_dir) / 'records'} (fingerprint, rep):\n{listing}")
+    inputs = report_inputs(config.metrics)
+    return [replace(_load_checked(out_dir, run, inputs), eval_log=[]) for run in runs]
+
+
+def _load_checked(out_dir: str | Path, run: tuple, inputs: dict) -> RunRecord:
+    """The record of plan entry ``run``, read by :func:`load_record`. Raises
+    :class:`EvaluationError` naming its first key (a slice's as ``slice.<key>``)
+    that differs from the entry's identity or from the metric ``inputs``."""
     def by_key(values: dict) -> dict:  # the slice's keys as ``slice.<key>``, in its place
         slice_keys = {f"slice.{key}": value for key, value in values.pop("slice").items()}
         return {**values, **slice_keys}
 
-    inputs = report_inputs(config.metrics)
-    records = []
-    for slice_, rep, seed in runs:
-        path = record_path(out_dir, slice_, rep)
-        record = load_record(path)
-        found = by_key({**vars(record), **record.metrics})
-        for key, value in by_key({**_identity(slice_, rep, seed), **inputs}).items():
-            if _canonical(found[key]) != _canonical(value):
-                raise EvaluationError(
-                    f"record {path} was made under other inputs: {key} is "
-                    f"{_canonical(found[key])}, this config gives {_canonical(value)}")
-        records.append(replace(record, eval_log=[]))
-    return records
+    path = record_path(out_dir, run[0], run[1])
+    record = load_record(path)
+    found = by_key({**vars(record), **record.metrics})
+    for key, value in by_key({**_identity(*run), **inputs}).items():
+        if _canonical(found[key]) != _canonical(value):
+            raise EvaluationError(
+                f"record {path} was made under other inputs: {key} is "
+                f"{_canonical(found[key])}, this config gives {_canonical(value)}")
+    return record
 
 
 def load_record(path: str | Path) -> RunRecord:

@@ -218,6 +218,7 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
                     break
                 if should_resample(strategy, ctx, i):
                     ev.reevaluate(point, gen)
+                    ctx.reevaluated(i)
         pop = environmental_select(combined, popsize)
 
     final = nondominated_sort(pop)

@@ -168,9 +168,9 @@ class EvaluatedPoint:
     uid: int = -1
     true_mean: np.ndarray | None = field(default=None, repr=False, compare=False)
     _sum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # (sample count, read-only scaled residuals) from the last computation.
-    _residuals: tuple[int, np.ndarray] | None = field(default=None, init=False,
-                                                      repr=False, compare=False)
+    # (sample count, read-only scaled residuals, their range) from the last computation.
+    _residuals: tuple[int, np.ndarray, np.ndarray] | None = field(default=None, init=False,
+                                                                  repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.decision = np.asarray(self.decision, dtype=float)
@@ -202,8 +202,20 @@ class EvaluatedPoint:
         if self._residuals is None or self._residuals[0] != n:
             residuals = np.sqrt(n / (n - 1)) * (np.asarray(self.samples) - self.mean)
             residuals.flags.writeable = False
-            self._residuals = (n, residuals)
+            own = extremes = np.sort(residuals, axis=0)[[0, -1]]
+            for _ in range(n - 2):
+                own = own + extremes
+            self._residuals = (n, residuals, own)
         return self._residuals[1]
+
+    def residual_range(self) -> np.ndarray:
+        """(2, T): each column's smallest and largest scaled residual, added
+        N - 1 times in turn as a bootstrap replicate adds its N - 1 own
+        draws; zeros for N = 1. Cached with :meth:`scaled_residuals`."""
+        if self.count < 2:
+            return np.zeros((2, self.mean.size))
+        self.scaled_residuals()
+        return self._residuals[2]
 
 
 @dataclass

@@ -85,7 +85,7 @@ class StrengthStrategy(BudgetShare):
     def share(self, i: int, ctx: DecisionContext) -> float:
         """Strength over the maximal strength, read from the live member means
         (:func:`all_strengths`); 1 when all are zero (up to 1e-12 absolute)."""
-        strengths = all_strengths(ctx.population)
+        strengths = all_strengths(ctx.population, ctx.weak_matrix())
         s_max = float(strengths.max())
         if s_max <= 1e-12:
             return 1.0
@@ -190,11 +190,16 @@ class DecisionContext:
     at the sweep's start. The population state each kind reads:
 
     * ``rank``: ``population.rank``, which no re-evaluation moves;
-    * ``strength``: the live means (``population.means`` is rebuilt per call);
+    * ``strength``: the live means, through :meth:`weak_matrix`;
     * ``arb``: the live means and samples of the point and of the front
       members, and the live dispersion pool, which the run's ``Evaluator``
-      feeds on every re-evaluation;
+      feeds on every re-evaluation; the front's envelopes via :meth:`front_high`;
     * ``time``: only ``n_gen``/``max_gen``; ``sederror``: only the point.
+
+    The matrix and the envelopes' terms are built on first use and kept for
+    the sweep. Only a re-evaluation moves means, counts or the pool, and its
+    granter calls :meth:`reevaluated`, which updates one row and column of
+    the matrix and the member's front row, if any.
     """
 
     population: RankedPopulation
@@ -203,17 +208,55 @@ class DecisionContext:
     front: list[EvaluatedPoint] | None = None
     dispersion: bootstrap.DispersionSet | None = None
     rng: np.random.Generator | None = None
+    # Kept state: live means and their matrix; front terms, high envelopes and their pool.
+    _means: np.ndarray | None = field(default=None, init=False, repr=False)
+    _weak: np.ndarray | None = field(default=None, init=False, repr=False)
+    _high_terms: list | None = field(default=None, init=False, repr=False)
+    _pool: np.ndarray | None = field(default=None, init=False, repr=False)
+    _high: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def weak_matrix(self) -> np.ndarray:
+        """The (n, n) weak-dominance matrix of the live means, self excluded."""
+        if self._weak is None:
+            self._means = self.population.means
+            self._weak = weak_dominance(self._means, self._means)
+            np.fill_diagonal(self._weak, False)
+        return self._weak
+
+    def front_high(self) -> np.ndarray:
+        """The (F, T) high envelopes of the front members under the live pool."""
+        if self._high_terms is None:
+            self._high_terms = bootstrap.high_terms(self.front)
+        pool = self.dispersion.column_range()
+        if self._pool is not pool:
+            self._pool, self._high = pool, bootstrap.envelope(*self._high_terms, pool[1])
+        return self._high
+
+    def reevaluated(self, i: int) -> None:
+        """Update the kept state after member ``i`` got one more sample."""
+        point = self.population.members[i]
+        if self._weak is not None:
+            self._means[i] = point.mean
+            self._weak[i] = weak_dominance(point.mean[None], self._means)[0]
+            self._weak[:, i] = weak_dominance(self._means, point.mean[None])[:, 0]
+            self._weak[i, i] = False
+        if self._high_terms is not None:
+            for k, member in enumerate(self.front):
+                if member is point:
+                    means, own, counts = self._high_terms
+                    means[k], own[k], counts[k] = point.mean, point.residual_range()[1], point.count
+                    self._pool = None  # recompute, even under the same pool
 
 
-def all_strengths(pop: RankedPopulation) -> np.ndarray:
-    """Per-point fraction of the population it weakly dominates, self excluded.
+def all_strengths(pop: RankedPopulation, weak: np.ndarray | None = None) -> np.ndarray:
+    """Per-point fraction of the population it weakly dominates, self excluded,
+    from its kept matrix ``weak`` (:meth:`DecisionContext.weak_matrix`) or a new one.
 
     Self-exclusion keeps the all-strengths-zero case reachable (a point
     always weakly dominates itself).
     """
-    means = pop.means
-    weak = weak_dominance(means, means)
-    np.fill_diagonal(weak, False)
+    if weak is None:
+        weak = DecisionContext(population=pop).weak_matrix()
     return weak.sum(axis=1) / len(pop)
 
 
@@ -230,7 +273,8 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext, i: int) 
     if isinstance(strategy, ArbStrategy):
         if ctx.front is None or ctx.dispersion is None or ctx.rng is None:
             raise EvaluationError("arb decisions need front, dispersion and rng in the context")
-        return bootstrap.arb_decide(point, ctx.front, ctx.dispersion, strategy, ctx.rng)
+        return bootstrap.arb_decide(point, ctx.front, ctx.dispersion, strategy, ctx.rng,
+                                    ctx.front_high())
     raise EvaluationError(f"no per-point resampling decision for {strategy!r}")
 
 

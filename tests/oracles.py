@@ -187,6 +187,20 @@ def brute_bootstrap_means_pooled(point, dispersion, n_draws: int,
     return point.mean + (pooled + own) / n
 
 
+def brute_arb_decide(candidate, front, dispersion, strategy, rng) -> bool:
+    """Arb's decision the long way: every replicate built, in stream order
+    (the candidate's, then each rival's in front order), and p* the largest
+    brute-force dominance probability over the rivals; True iff p* lies in
+    [alpha_l, alpha_u]. A sole front member draws nothing and gives False."""
+    rivals = [s for s in front if s is not candidate]
+    if not rivals:
+        return False
+    own = brute_bootstrap_means_pooled(candidate, dispersion, strategy.n_boot, rng)
+    p_star = max(brute_dominance_probability(own, brute_bootstrap_means_pooled(
+        r, dispersion, strategy.n_boot, rng)) for r in rivals)
+    return strategy.alpha_l <= p_star <= strategy.alpha_u
+
+
 def _brute_spread_factor(u, distance_to_bound, gap, eta):
     beta = 1.0 + 2.0 * distance_to_bound / gap
     alpha = 2.0 - beta ** -(eta + 1.0)

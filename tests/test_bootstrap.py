@@ -11,11 +11,12 @@ from noisymoo.bootstrap import (DispersionSet, arb_decide, bootstrap_means,
                                 bootstrap_means_pooled, bootstrap_means_stacked,
                                 dominance_probability)
 from noisymoo.optimizers import Evaluator
-from noisymoo.pareto import EvaluatedPoint, EvaluationError
+from noisymoo.pareto import EvaluatedPoint, EvaluationError, nondominated_sort
 from noisymoo.problems import NoiseLaw, make_problem
-from noisymoo.resampling import ArbStrategy
+from noisymoo.resampling import ArbStrategy, DecisionContext
 
-from .oracles import brute_bootstrap_means_pooled, brute_dominance_probability
+from .oracles import (brute_arb_decide, brute_bootstrap_means_pooled,
+                      brute_dominance_probability)
 
 vec = lambda *v: np.array(v, dtype=float)
 
@@ -240,6 +241,133 @@ class TestPooledBootstrap:
         assert spare_plans == 60
 
 
+def random_point(plans, centre, count, spread=1.0):
+    """A point of ``count`` samples within a few ``spread`` of ``centre``,
+    rounded to a grid of spread / 2 half of the time so equal values are common."""
+    samples = (centre + spread * plans.uniform(-3, 3, size=centre.size)
+               + spread * plans.normal(size=(count, centre.size)))
+    if plans.random() < 0.5:
+        samples = np.round(2 * samples / spread) * spread / 2
+    return EvaluatedPoint(decision=np.zeros(2), samples=list(samples))
+
+
+def random_pool(plans, n_obj, spread=1.0):
+    """1 to 100 entries; every fifth pool is all zeros, as without noise."""
+    ds = DispersionSet()
+    zero = plans.random() < 0.2
+    for _ in range(int(plans.integers(1, 101))):
+        ds.push(np.zeros(n_obj) if zero else spread * plans.normal(size=n_obj))
+    return ds
+
+
+class TestEnvelope:
+    def test_every_replicate_lies_inside_its_envelope(self):
+        plans = np.random.default_rng(77)
+        at_edge = 0
+        for case in range(300):
+            n_obj = int(plans.integers(2, 4))
+            ds = random_pool(plans, n_obj)
+            points = [random_point(plans, np.zeros(n_obj), int(plans.integers(1, 9)))
+                      for _ in range(int(plans.integers(1, 6)))]
+            draws = bootstrap_means_stacked(points, ds, int(plans.choice([1, 10, 100])),
+                                            np.random.default_rng(case))
+            for pt, reps in zip(points, draws):
+                low, high = bootstrap.envelope(pt.mean, pt.residual_range(), pt.count,
+                                                      ds.column_range())
+                assert (low <= reps).all() and (reps <= high).all()
+                at_edge += (reps == low).any() or (reps == high).any()
+        assert at_edge > 100  # the envelope is tight: replicates reach it
+
+    def test_a_tie_closes_a_rival_and_one_ulp_below_does_not(self, monkeypatch):
+        # With a zero pool every replicate is its point's mean. Under
+        # alpha_u = 1, p* = 1 lies in the band and p* = 0 below it. A closed
+        # rival is never counted, so a decision without open rivals counts nothing.
+        ds = DispersionSet()
+        ds.push(np.zeros(2))
+        rival = point((1, 1))
+        strategy = ArbStrategy(alpha_l=0.2, alpha_u=1.0, n_boot=5)
+        below = point((float(np.nextafter(1.0, 0.0)), 0))
+        assert arb_decide(below, [rival], ds, strategy, np.random.default_rng(0)) is True
+        monkeypatch.setattr(bootstrap, "decide_from_draws", None)
+        assert arb_decide(point((1, 0)), [rival], ds, strategy, np.random.default_rng(0)) is False
+
+    def test_built_subset_matches_the_full_build(self):
+        plans = np.random.default_rng(78)
+        for case in range(50):
+            ds = random_pool(plans, 2)
+            points = [random_point(plans, np.zeros(2), int(plans.integers(1, 9)))
+                      for _ in range(6)]
+            build = [bool(b) for b in plans.integers(0, 2, size=6)]
+            rng, twin = np.random.default_rng(case), np.random.default_rng(case)
+            full = bootstrap_means_stacked(points, ds, 20, rng)
+            some = bootstrap_means_stacked(points, ds, 20, twin, build)
+            assert some.tobytes() == full[build].tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_kept_front_envelopes_follow_reevaluations(self):
+        ev = pooled_evaluator(capacity=20, noise=NoiseLaw(kind="gaussian", sigma=0.5),
+                              budget=400)
+        points = ev.spawn_random(30)
+        for pt in points[::3]:
+            ev.reevaluate(pt, 0)
+        ranked = nondominated_sort(points)
+        ctx = DecisionContext(population=ranked, front=ranked.first_front(),
+                              dispersion=ev.dispersion)
+        choice = np.random.default_rng(5)
+        for step in range(200):
+            ctx.front_high()
+            i = int(choice.integers(0, len(points)))
+            if step % 4:
+                ev.reevaluate(ranked.members[i], 1)
+            else:  # a sample that leaves the pool as it is
+                ranked.members[i].add_sample(choice.normal(size=2))
+            ctx.reevaluated(i)
+            fresh = np.array([bootstrap.envelope(f.mean, f.residual_range(), f.count,
+                                                        ev.dispersion.column_range())[1]
+                              for f in ctx.front])
+            assert ctx.front_high().tobytes() == fresh.tobytes()
+
+
+class TestArbAgainstBruteForce:
+    def test_decision_and_stream_match_the_reference(self):
+        # Points sit a few spreads apart and the pool is as wide as the spread
+        # or zero, so the envelopes close off none, some or all of the rivals,
+        # often a rival whose envelope only just overlaps the candidate's.
+        plans = np.random.default_rng(2025)
+        by_closed = {"none": 0, "some": 0, "all": 0}
+        in_band = 0
+        for case in range(2000):
+            n_obj = int(plans.integers(2, 4))
+            spread = float(plans.choice([0.01, 0.3, 1.0]))
+            centre = plans.uniform(0, 3, size=n_obj)
+            ds = random_pool(plans, n_obj, spread)
+            front = [random_point(plans, centre, int(plans.integers(1, 6)), spread)
+                     for _ in range(int(plans.integers(1, 8)))]
+            candidate = (front[int(plans.integers(0, len(front)))] if plans.random() < 0.5
+                         else random_point(plans, centre, int(plans.integers(1, 6)), spread))
+            strategy = ArbStrategy(alpha_l=float(plans.choice([0.05, 0.2, 0.5])),
+                                   alpha_u=float(plans.choice([0.6, 0.9, 1.0])),
+                                   n_boot=int(plans.integers(1, 13)))
+            seed = int(plans.integers(2**32))
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            front_high = None
+            if case % 2:  # the envelopes a sweep's context keeps
+                front_high = DecisionContext(population=None, front=front,
+                                             dispersion=ds).front_high()
+            decision = arb_decide(candidate, front, ds, strategy, rng, front_high)
+            assert decision is brute_arb_decide(candidate, front, ds, strategy, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            in_band += decision
+            low = bootstrap.envelope(candidate.mean, candidate.residual_range(),
+                                            candidate.count, ds.column_range())[0]
+            shut = [any(low >= bootstrap.envelope(r.mean, r.residual_range(), r.count,
+                                                         ds.column_range())[1])
+                    for r in front if r is not candidate]
+            if shut:
+                by_closed["all" if all(shut) else "some" if any(shut) else "none"] += 1
+        assert min(by_closed.values()) > 100 and in_band > 100
+
+
 class TestDominanceProbability:
     def test_enumerated_example(self):
         assert dominance_probability(vec(0, 0)[None].repeat(1, 0), np.array([[1, 1]])) == 1.0
@@ -342,15 +470,11 @@ class TestArbDecision:
 
     @pytest.mark.parametrize("n_obj", [2, 3])
     def test_bounds_then_counts_matches_bruteforce_maximum(self, monkeypatch, n_obj):
-        # Draws are fixed per point and rounded to a 0.5 grid, so single
-        # objectives tie often. Thresholds sit one ulp below, at and one ulp
-        # above the brute-force p*, plus the default band.
+        # The counting stage runs on fixed draws per point, rounded to a 0.5
+        # grid, so single objectives tie often. Thresholds sit one ulp below,
+        # at and one ulp above the brute-force p*, plus the default band.
         rng = np.random.default_rng(100 + 10 * n_obj)
         n_draws = 20
-        draws = {}
-        monkeypatch.setattr(bootstrap, "bootstrap_means_stacked",
-                            lambda pts, dispersion, n, gen: np.stack([draws[id(pt)]
-                                                                      for pt in pts]))
         exact_calls = []
         dominance = bootstrap.dominance_probability
 
@@ -362,14 +486,11 @@ class TestArbDecision:
         bound_only = some_exact = 0
         for _ in range(25):
             n_rivals = int(rng.integers(1, 31))
-            front = [EvaluatedPoint(decision=np.zeros(2), samples=[np.zeros(n_obj)])
+            draws = [np.round(2 * rng.normal(rng.uniform(0, 2, size=n_obj), 1.0,
+                                             (n_draws, n_obj))) / 2
                      for _ in range(n_rivals + 1)]
-            for pt in front:
-                centre = rng.uniform(0, 2, size=n_obj)
-                draws[id(pt)] = np.round(2 * rng.normal(centre, 1.0, (n_draws, n_obj))) / 2
-            candidate, rivals = front[0], front[1:]
-            p_star = max(brute_dominance_probability(draws[id(candidate)], draws[id(r)])
-                         for r in rivals)
+            candidate_draws, rival_draws = draws[0], np.stack(draws[1:])
+            p_star = max(brute_dominance_probability(candidate_draws, r) for r in rival_draws)
             bands = [(0.2, 0.9)]
             for alpha in (np.nextafter(p_star, -1.0), p_star, np.nextafter(p_star, 2.0)):
                 bands.append((alpha, 0.9) if p_star < 0.5 else (0.2, alpha))
@@ -380,7 +501,7 @@ class TestArbDecision:
                 except EvaluationError:
                     continue  # p* at 0 or 1 leaves no room on one side
                 exact_calls.clear()
-                decision = arb_decide(candidate, front, None, strategy, None)
+                decision = bootstrap.decide_from_draws(candidate_draws, rival_draws, strategy)
                 assert decision is bool(alpha_l <= p_star <= alpha_u)
                 assert len(exact_calls) <= n_rivals
                 bound_only += len(exact_calls) < n_rivals

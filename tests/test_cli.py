@@ -349,6 +349,41 @@ def test_records_made_under_other_inputs_are_refused(command, change, config_pat
     assert main([*argv, "--config", str(config_path)]) == 0
 
 
+# id -> (config edit for the second sweep, the key the error line must name)
+RESWEEP_INPUTS = {
+    "base_seed": ({"base_seed": 6}, "seed"),
+    "nadir_delta": ({"metrics": {"nadir_delta": 0.5}}, "nadir"),
+}
+
+
+@pytest.mark.parametrize("change", sorted(RESWEEP_INPUTS))
+def test_resweep_under_other_inputs_starts_nothing(change, config_path, tmp_path, capsys):
+    config = json.loads(config_path.read_text())
+    config.update(noise=[{"kind": "none"}], strategies=[{"kind": "static", "grid": {"n": [1, 2]}}],
+                  base_seed=5)
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in (out / "records").iterdir()}
+    assert len(before) == 4
+
+    edit, key = RESWEEP_INPUTS[change]
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({**config, **edit}))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(changed), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and not captured.out
+    assert "was made under other inputs" in err[0] and f": {key} is " in err[0]
+    assert sorted(p.name for p in out.iterdir()) == ["records"]
+    assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
+
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    assert "0 of 4 runs started" in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in (out / "records").iterdir()} == before
+
+
 # id -> how a record file's text is damaged
 DAMAGED_RECORDS = {
     "cut_short": lambda text: text[:100],

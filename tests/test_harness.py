@@ -250,17 +250,25 @@ class TestRunSingle:
 
 class TestSweep:
     def test_record_count_and_idempotency(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sweep read a record back")
+        reads = []
+        load = harness.load_record
 
-        # sweep only runs; it reads no record, not even to count them.
-        monkeypatch.setattr(harness, "load_record", refuse)
+        def counted(path):
+            reads.append(Path(path).name)
+            return load(path)
+
+        # sweep reads no record to count them; a re-sweep reads only the
+        # first record of the plan, to check the inputs it was made under.
+        monkeypatch.setattr(harness, "load_record", counted)
         config = tiny_config()
         n_runs = len(config.slices()) * config.replications
         assert sweep(config, tmp_path) == n_runs
+        assert reads == []
         before = {p.name: p.read_bytes() for p in (tmp_path / "records").iterdir()}
         assert len(before) == n_runs
         assert sweep(config, tmp_path) == 0
+        slice_, rep, _ = config.runs()[0]
+        assert reads == [record_path(tmp_path, slice_, rep).name]
         after = {p.name: p.read_bytes() for p in (tmp_path / "records").iterdir()}
         assert before == after
 

@@ -46,6 +46,27 @@ class TestStrength:
             pts = [EvaluatedPoint(decision=np.zeros(2), samples=[o]) for o in objs]
             assert np.array_equal(all_strengths(nondominated_sort(pts)), brute_strengths(objs))
 
+    @pytest.mark.parametrize("n_obj", [2, 3])
+    def test_kept_matrix_follows_reevaluations(self, n_obj):
+        # Samples on a coarse grid make equal means, hence ties, common. After
+        # every re-evaluation the kept matrix must give the strengths a
+        # rebuild from the live means gives, bit for bit.
+        rng = np.random.default_rng(30 + n_obj)
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            pts = [EvaluatedPoint(decision=np.zeros(2),
+                                  samples=[rng.integers(0, 4, size=n_obj).astype(float)])
+                   for _ in range(n)]
+            pop = nondominated_sort(pts)
+            ctx = ctx_for(pop)
+            for _ in range(int(rng.integers(1, 40))):
+                i = int(rng.integers(0, n))
+                pop.members[i].add_sample(rng.integers(0, 4, size=n_obj).astype(float))
+                ctx.reevaluated(i)
+                kept = all_strengths(pop, ctx.weak_matrix())
+                assert kept.tobytes() == all_strengths(pop).tobytes()
+                assert kept.tobytes() == brute_strengths(pop.means).tobytes()
+
     def test_fraction_all_zero_gives_full_budget(self):
         pop = ranked([(0, 3), (1, 2), (2, 1), (3, 0)])
         assert [StrengthStrategy().share(i, ctx_for(pop)) for i in range(4)] == [1, 1, 1, 1]

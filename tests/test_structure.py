@@ -1,6 +1,9 @@
 """Each concept stays behind the module that owns it: no module of the
 package imports a name another module marks private with an underscore,
-and no module imports a name it never uses."""
+and no module imports a name it never uses. No module rebinds a module
+global either: state kept between calls, such as a decision's per-sweep
+state, lives in an object a run owns, never in a cache that outlives the
+run or differs between worker processes."""
 
 import ast
 from pathlib import Path
@@ -32,3 +35,11 @@ def test_every_imported_name_is_used(path):
               for alias in node.names
               if (alias.asname or alias.name.split(".")[0]) not in used]
     assert not unused
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_statement(path):
+    found = [f"{path.name}:{node.lineno} global {', '.join(node.names)}"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert not found

@@ -40,7 +40,7 @@ shortcuts are exact, so every decision equals the one on the exact p*.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -193,7 +193,8 @@ def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray) -> np.
 
 def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
                dispersion: DispersionSet, strategy: ArbStrategy,
-               rng: np.random.Generator, front_high: np.ndarray | None = None) -> bool:
+               rng: np.random.Generator,
+               front_high: Callable[[], np.ndarray] | None = None) -> bool:
     """Decide whether the candidate deserves another evaluation.
 
     Computes p* = max over front members (the candidate itself excluded) of
@@ -203,8 +204,8 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     first, then each rival's in front order. Returns False when p* > alpha_u
     (confidently good) or p* < alpha_l (hopeless), True inside the band, as
     ``strategy.side`` places it. A sole front member has no comparison
-    target, which counts as p* = 0. ``front_high``, the front's (F, T) high
-    envelopes if the caller keeps them, is computed here otherwise.
+    target, which counts as p* = 0. ``front_high`` returns the front's (F, T)
+    high envelopes if the caller keeps them; they are computed here otherwise.
     """
     if not front:
         raise EvaluationError("the front must be nonempty")
@@ -212,7 +213,7 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     if not rivals:
         return False
     pool = dispersion.column_range()
-    high = envelope(*high_terms(front), pool[1]) if front_high is None else front_high
+    high = envelope(*high_terms(front), pool[1]) if front_high is None else front_high()
     low = envelope(candidate.mean, candidate.residual_range()[0], candidate.count, pool[0])
     beatable = (low < high).all(axis=1).tolist()
     open_rivals = [ok for s, ok in zip(front, beatable) if s is not candidate]

@@ -202,10 +202,10 @@ class EvaluatedPoint:
         if self._residuals is None or self._residuals[0] != n:
             residuals = np.sqrt(n / (n - 1)) * (np.asarray(self.samples) - self.mean)
             residuals.flags.writeable = False
-            own = extremes = np.sort(residuals, axis=0)[[0, -1]]
+            summed = extremes = np.sort(residuals, axis=0)[[0, -1]]
             for _ in range(n - 2):
-                own = own + extremes
-            self._residuals = (n, residuals, own)
+                summed = summed + extremes
+            self._residuals = (n, residuals, summed)
         return self._residuals[1]
 
     def residual_range(self) -> np.ndarray:

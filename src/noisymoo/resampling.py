@@ -274,7 +274,7 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext, i: int) 
         if ctx.front is None or ctx.dispersion is None or ctx.rng is None:
             raise EvaluationError("arb decisions need front, dispersion and rng in the context")
         return bootstrap.arb_decide(point, ctx.front, ctx.dispersion, strategy, ctx.rng,
-                                    ctx.front_high())
+                                    ctx.front_high)
     raise EvaluationError(f"no per-point resampling decision for {strategy!r}")
 
 

@@ -353,7 +353,7 @@ class TestArbAgainstBruteForce:
             front_high = None
             if case % 2:  # the envelopes a sweep's context keeps
                 front_high = DecisionContext(population=None, front=front,
-                                             dispersion=ds).front_high()
+                                             dispersion=ds).front_high
             decision = arb_decide(candidate, front, ds, strategy, rng, front_high)
             assert decision is brute_arb_decide(candidate, front, ds, strategy, twin)
             assert rng.bit_generator.state == twin.bit_generator.state

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisymoo.bootstrap import DispersionSet
 from noisymoo.pareto import EvaluatedPoint, EvaluationError, nondominated_sort
 from noisymoo.resampling import (ArbStrategy, DecisionContext, RankStrategy, RteaStrategy,
                                  SeErrorStrategy, StaticStrategy, StrengthStrategy,
@@ -131,6 +132,14 @@ class TestStandardError:
 
 
 class TestDecide:
+    def test_arb_sole_front_member_reads_no_pool(self):
+        # With no rival there is nothing to compare: p* = 0 before any
+        # envelope, so even an empty pool is never read.
+        pop = ranked([(0, 0), (1, 1)])
+        ctx = DecisionContext(population=pop, front=pop.first_front(), dispersion=DispersionSet(),
+                              rng=np.random.default_rng(0))
+        assert should_resample(ArbStrategy(), ctx, 0) is False
+
     def test_static_has_no_decision(self):
         # nsga2_run gives a static point its n samples one-shot and never asks.
         pop = ranked([(0, 1), (1, 0)])

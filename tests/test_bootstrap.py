@@ -273,7 +273,7 @@ class TestEnvelope:
                                             np.random.default_rng(case))
             for pt, reps in zip(points, draws):
                 low, high = bootstrap.envelope(pt.mean, pt.residual_range(), pt.count,
-                                                      ds.column_range())
+                                               ds.column_range())
                 assert (low <= reps).all() and (reps <= high).all()
                 at_edge += (reps == low).any() or (reps == high).any()
         assert at_edge > 100  # the envelope is tight: replicates reach it
@@ -323,7 +323,7 @@ class TestEnvelope:
                 ranked.members[i].add_sample(choice.normal(size=2))
             ctx.reevaluated(i)
             fresh = np.array([bootstrap.envelope(f.mean, f.residual_range(), f.count,
-                                                        ev.dispersion.column_range())[1]
+                                                 ev.dispersion.column_range())[1]
                               for f in ctx.front])
             assert ctx.front_high().tobytes() == fresh.tobytes()
 
@@ -359,9 +359,9 @@ class TestArbAgainstBruteForce:
             assert rng.bit_generator.state == twin.bit_generator.state
             in_band += decision
             low = bootstrap.envelope(candidate.mean, candidate.residual_range(),
-                                            candidate.count, ds.column_range())[0]
+                                     candidate.count, ds.column_range())[0]
             shut = [any(low >= bootstrap.envelope(r.mean, r.residual_range(), r.count,
-                                                         ds.column_range())[1])
+                                                  ds.column_range())[1])
                     for r in front if r is not candidate]
             if shut:
                 by_closed["all" if all(shut) else "some" if any(shut) else "none"] += 1

@@ -4,8 +4,8 @@ Library layout:
 
 * ``pareto`` — one dominance kernel, non-dominated sorting, crowding.
 * ``problems`` — UF1/UF2/UF3 mean functions with standardized noise.
-* ``bootstrap`` — dispersion pooling, corrected/mixed bootstrap of the
-  sample mean, dominance probability, the adaptive resampling decision.
+* ``bootstrap`` — dispersion pooling, the mixed bootstrap of the sample
+  mean, dominance probability, the adaptive resampling decision.
 * ``resampling`` — the strategy types, each naming its family and loop;
   the budget-share (time, rank, strength), standard-error and arb
   decisions behind one interface.
@@ -17,8 +17,7 @@ Library layout:
   the grid, ``base_seed`` and ``metrics``; reading refuses a mismatch.
 """
 
-from .bootstrap import (DispersionSet, arb_decide, bootstrap_means, bootstrap_means_pooled,
-                        dominance_probability)
+from .bootstrap import DispersionSet, arb_decide, bootstrap_means_pooled, dominance_probability
 from .metrics import (MetricParams, MetricReport, hypervolume, igd_p, score_final_set,
                       true_nondominated_filter)
 from .optimizers import (Evaluator, RunResult, environmental_select, nsga2_run, rtea_run,

@@ -6,11 +6,10 @@ The pieces, bottom to top:
   vectors: in an arb run the ``Evaluator`` pushes the newest one of every
   re-evaluation. Assuming dispersion is roughly homogeneous across the
   decision space, the pool lends variability to points observed once.
-* ``bootstrap_means`` — replicates of a point's sample mean from its own
-  samples, rescaled by sqrt(N / (N - 1)) so their variance is s^2 / N.
 * ``bootstrap_means_stacked`` (one point: ``bootstrap_means_pooled``) — the
-  mixed scheme: one summand of a replicate comes from the pool, the other
-  N - 1 from the point's own samples, for several points from one draw.
+  package's one bootstrap, the mixed scheme: one summand of a replicate
+  comes from the pool, the other N - 1 from the point's own scaled
+  residuals, for several points from one draw.
 * ``dominance_probability`` — cross-pair frequency with which one replicate
   cloud strictly dominates another.
 * ``arb_decide`` — spend another evaluation only while p*, the largest
@@ -87,23 +86,6 @@ class DispersionSet:
         """(2, T): column minimum and maximum of :meth:`centered`, cached with it."""
         self.centered()
         return self._range
-
-
-def bootstrap_means(point: EvaluatedPoint, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Variance-corrected bootstrap replicates of the sample mean, shape (B, T).
-
-    Each replicate is mean + (1/N) * sum of N scaled residuals drawn
-    uniformly with replacement from the point's own residuals. The
-    sqrt(N / (N - 1)) scaling makes the replicate variance s^2 / N in
-    expectation, where s^2 is the unbiased sample variance.
-    """
-    n = point.count
-    if n < 2:
-        raise EvaluationError("own-sample bootstrap needs at least two samples; "
-                              "route singly evaluated points through the pooled scheme")
-    residuals = point.scaled_residuals()
-    idx = rng.integers(0, n, size=(n_draws, n))
-    return point.mean + residuals[idx].mean(axis=1)
 
 
 def bootstrap_means_stacked(points: list[EvaluatedPoint], dispersion: DispersionSet,
@@ -193,8 +175,7 @@ def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray) -> np.
 
 def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
                dispersion: DispersionSet, strategy: ArbStrategy,
-               rng: np.random.Generator,
-               front_high: Callable[[], np.ndarray] | None = None) -> bool:
+               rng: np.random.Generator, front_high: Callable[[], np.ndarray]) -> bool:
     """Decide whether the candidate deserves another evaluation.
 
     Computes p* = max over front members (the candidate itself excluded) of
@@ -204,8 +185,9 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     first, then each rival's in front order. Returns False when p* > alpha_u
     (confidently good) or p* < alpha_l (hopeless), True inside the band, as
     ``strategy.side`` places it. A sole front member has no comparison
-    target, which counts as p* = 0. ``front_high`` returns the front's (F, T)
-    high envelopes if the caller keeps them; they are computed here otherwise.
+    target, which counts as p* = 0. ``front_high`` returns the (F, T) high
+    envelopes of the front that the caller keeps (``DecisionContext.front_high``),
+    read only when there are rivals.
     """
     if not front:
         raise EvaluationError("the front must be nonempty")
@@ -213,9 +195,8 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     if not rivals:
         return False
     pool = dispersion.column_range()
-    high = envelope(*high_terms(front), pool[1]) if front_high is None else front_high()
     low = envelope(candidate.mean, candidate.residual_range()[0], candidate.count, pool[0])
-    beatable = (low < high).all(axis=1).tolist()
+    beatable = (low < front_high()).all(axis=1).tolist()
     open_rivals = [ok for s, ok in zip(front, beatable) if s is not candidate]
     draws = bootstrap_means_stacked([candidate, *rivals], dispersion, strategy.n_boot, rng,
                                     [any(open_rivals), *open_rivals])

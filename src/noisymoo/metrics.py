@@ -45,15 +45,10 @@ class MetricReport:
     n_filtered: int
 
 
-def true_nondominated_filter(returned: list[EvaluatedPoint],
-                             problem: NoisyProblem) -> list[EvaluatedPoint]:
-    """Keep the points whose true means are not strictly dominated within the set."""
-    return _true_nondominated(returned, problem)[0]
-
-
-def _true_nondominated(returned: list[EvaluatedPoint], problem: NoisyProblem
-                       ) -> tuple[list[EvaluatedPoint], np.ndarray]:
-    # The filter's survivors and their true means, each mean computed once.
+def true_nondominated_filter(returned: list[EvaluatedPoint], problem: NoisyProblem
+                             ) -> tuple[list[EvaluatedPoint], np.ndarray]:
+    """The points whose true means are not strictly dominated within the set,
+    and those true means, each computed once."""
     if not returned:
         return [], np.empty((0, 0))
     mus = np.array([problem.mean_fn(p.decision) for p in returned])
@@ -111,13 +106,12 @@ def report_inputs(params: MetricParams) -> dict:
 
 
 def igd_p(points: np.ndarray, pf: np.ndarray, power: float = 2.0) -> float:
-    """Power mean of distances from front samples to their nearest set member."""
+    """Power mean of distances from front samples to their nearest set member;
+    ``power`` is at least 1, as :class:`MetricParams` requires."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ref = np.atleast_2d(np.asarray(pf, dtype=float))
     if pts.size == 0 or ref.size == 0:
         raise EvaluationError("igd needs a nonempty set and a nonempty front sample")
-    if power < 1.0:
-        raise EvaluationError("igd power must be at least 1")
     dists = np.sqrt(((ref[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
     return float(np.mean(dists ** power) ** (1.0 / power))
 
@@ -125,7 +119,7 @@ def igd_p(points: np.ndarray, pf: np.ndarray, power: float = 2.0) -> float:
 def score_final_set(returned: list[EvaluatedPoint], problem: NoisyProblem,
                     params: MetricParams = MetricParams()) -> MetricReport:
     """Apply the true-mean filter and compute the full metric report."""
-    filtered, true_means = _true_nondominated(returned, problem)
+    filtered, true_means = true_nondominated_filter(returned, problem)
     pf, nadir, denom = reference(params)
     if filtered:
         hv_raw = hypervolume(true_means, nadir)

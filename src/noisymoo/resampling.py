@@ -248,15 +248,13 @@ class DecisionContext:
                     self._pool = None  # recompute, even under the same pool
 
 
-def all_strengths(pop: RankedPopulation, weak: np.ndarray | None = None) -> np.ndarray:
+def all_strengths(pop: RankedPopulation, weak: np.ndarray) -> np.ndarray:
     """Per-point fraction of the population it weakly dominates, self excluded,
-    from its kept matrix ``weak`` (:meth:`DecisionContext.weak_matrix`) or a new one.
+    from its kept matrix ``weak`` (:meth:`DecisionContext.weak_matrix`).
 
     Self-exclusion keeps the all-strengths-zero case reachable (a point
     always weakly dominates itself).
     """
-    if weak is None:
-        weak = DecisionContext(population=pop).weak_matrix()
     return weak.sum(axis=1) / len(pop)
 
 

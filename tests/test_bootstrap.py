@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymoo import bootstrap
-from noisymoo.bootstrap import (DispersionSet, arb_decide, bootstrap_means,
-                                bootstrap_means_pooled, bootstrap_means_stacked,
-                                dominance_probability)
+from noisymoo.bootstrap import (DispersionSet, arb_decide, bootstrap_means_pooled,
+                                bootstrap_means_stacked, dominance_probability)
 from noisymoo.optimizers import Evaluator
 from noisymoo.pareto import EvaluatedPoint, EvaluationError, nondominated_sort
 from noisymoo.problems import NoiseLaw, make_problem
@@ -23,6 +22,20 @@ vec = lambda *v: np.array(v, dtype=float)
 
 def point(*samples):
     return EvaluatedPoint(decision=np.zeros(2), samples=[vec(*s) for s in samples])
+
+
+def decide(candidate, front, ds, strategy, rng):
+    """``arb_decide`` with the front envelopes a sweep's context keeps."""
+    front_high = DecisionContext(population=None, front=front, dispersion=ds).front_high
+    return arb_decide(candidate, front, ds, strategy, rng, front_high)
+
+
+def own_draws(pt, n_draws, rng):
+    """Mixed replicates of ``pt`` under a pool of one zero vector, so only
+    the N - 1 own draws vary."""
+    pool = DispersionSet()
+    pool.push(np.zeros(pt.mean.size))
+    return bootstrap_means_stacked([pt], pool, n_draws, rng)[0]
 
 
 def pooled_evaluator(capacity=100, noise=None, budget=10):
@@ -115,40 +128,43 @@ class TestDispersionSet:
 
 
 class TestOwnSampleBootstrap:
+    """The N - 1 own summands of each mixed replicate, the only own-sample
+    draws the package makes."""
+
     def test_identical_samples_collapse_to_mean(self):
         pt = point((3, 4), (3, 4), (3, 4))
-        draws = bootstrap_means(pt, 50, np.random.default_rng(0))
+        draws = own_draws(pt, 50, np.random.default_rng(0))
         assert np.allclose(draws, [3, 4])
 
     def test_variance_correction_matches_unbiased_variance(self):
+        # A pool of the point's own scaled residuals: ((N - 1) s^2 + s^2) / N^2.
         rng = np.random.default_rng(5)
         pt = point(*[tuple(rng.normal(size=2)) for _ in range(5)])
-        draws = bootstrap_means(pt, 100_000, rng)
+        pool = DispersionSet()
+        for residual in pt.scaled_residuals():
+            pool.push(residual)
+        draws = bootstrap_means_stacked([pt], pool, 100_000, rng)[0]
         s2 = np.var(np.asarray(pt.samples), axis=0, ddof=1)
         assert np.all(np.abs(draws.var(axis=0) / (s2 / 5) - 1) < 0.05)
 
-    def test_two_samples_give_three_distinct_means(self):
+    def test_two_samples_give_two_distinct_means(self):
         # Rounding merges float summation-order noise; distinct multisets
         # stay far apart with these sample values.
         pt = point((0, 0), (3, 3))
-        draws = bootstrap_means(pt, 2000, np.random.default_rng(1))
-        assert len({tuple(np.round(d, 9)) for d in draws}) == 3
+        draws = own_draws(pt, 2000, np.random.default_rng(1))
+        assert len({tuple(np.round(d, 9)) for d in draws}) == 2
 
-    def test_single_sample_rejected(self):
-        with pytest.raises(EvaluationError):
-            bootstrap_means(point((1, 1)), 10, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (3, 10), (4, 35)])
+    @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 6), (4, 20)])
     def test_resample_multiset_count(self, n, expected):
         # Exhaustive enumeration over index tuples; the number of distinct
-        # multisets of size n from n items is C(2n - 1, n).
-        multisets = {tuple(sorted(t)) for t in itertools.product(range(n), repeat=n)}
-        assert len(multisets) == expected == math.comb(2 * n - 1, n)
+        # multisets of size n - 1 from n items is C(2n - 2, n - 1).
+        multisets = {tuple(sorted(t)) for t in itertools.product(range(n), repeat=n - 1)}
+        assert len(multisets) == expected == math.comb(2 * n - 2, n - 1)
 
-    def test_three_samples_give_ten_distinct_means(self):
+    def test_three_samples_give_six_distinct_means(self):
         pt = point((0, 0), (1, 1), (10, 10))
-        draws = bootstrap_means(pt, 5000, np.random.default_rng(2))
-        assert len({tuple(np.round(d, 9)) for d in draws}) == 10
+        draws = own_draws(pt, 5000, np.random.default_rng(2))
+        assert len({tuple(np.round(d, 9)) for d in draws}) == 6
 
 
 class TestPooledBootstrap:
@@ -287,9 +303,9 @@ class TestEnvelope:
         rival = point((1, 1))
         strategy = ArbStrategy(alpha_l=0.2, alpha_u=1.0, n_boot=5)
         below = point((float(np.nextafter(1.0, 0.0)), 0))
-        assert arb_decide(below, [rival], ds, strategy, np.random.default_rng(0)) is True
+        assert decide(below, [rival], ds, strategy, np.random.default_rng(0)) is True
         monkeypatch.setattr(bootstrap, "decide_from_draws", None)
-        assert arb_decide(point((1, 0)), [rival], ds, strategy, np.random.default_rng(0)) is False
+        assert decide(point((1, 0)), [rival], ds, strategy, np.random.default_rng(0)) is False
 
     def test_built_subset_matches_the_full_build(self):
         plans = np.random.default_rng(78)
@@ -350,11 +366,7 @@ class TestArbAgainstBruteForce:
                                    n_boot=int(plans.integers(1, 13)))
             seed = int(plans.integers(2**32))
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            front_high = None
-            if case % 2:  # the envelopes a sweep's context keeps
-                front_high = DecisionContext(population=None, front=front,
-                                             dispersion=ds).front_high
-            decision = arb_decide(candidate, front, ds, strategy, rng, front_high)
+            decision = decide(candidate, front, ds, strategy, rng)
             assert decision is brute_arb_decide(candidate, front, ds, strategy, twin)
             assert rng.bit_generator.state == twin.bit_generator.state
             in_band += decision
@@ -412,34 +424,34 @@ class TestArbDecision:
         ds = self._tiny_pool()
         candidate = point((0, 0))
         rival = point((1, 1), (1, 1))
-        assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.1, alpha_u=0.9),
-                          np.random.default_rng(0)) is False
+        assert decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.1, alpha_u=0.9),
+                      np.random.default_rng(0)) is False
 
     def test_hopeless_stops(self):
         ds = self._tiny_pool()
         candidate = point((2, 2))
         rival = point((1, 1), (1, 1))
-        assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.1, alpha_u=0.9),
-                          np.random.default_rng(0)) is False
+        assert decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.1, alpha_u=0.9),
+                      np.random.default_rng(0)) is False
 
     def test_uncertain_band_continues(self):
         # Equal means with symmetric jitter put p* near 0.5.
         ds = self._tiny_pool(delta=0.5)
         candidate = point((1, 1))
         rival = point((1, 1), (1, 1))
-        assert arb_decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
-                          np.random.default_rng(0)) is True
+        assert decide(candidate, [rival], ds, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
+                      np.random.default_rng(0)) is True
 
     def test_candidate_excluded_from_own_front(self):
         ds = self._tiny_pool()
         candidate = point((0, 0))
-        assert arb_decide(candidate, [candidate], ds, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
-                          np.random.default_rng(0)) is False
+        assert decide(candidate, [candidate], ds, ArbStrategy(alpha_l=0.2, alpha_u=0.9),
+                      np.random.default_rng(0)) is False
 
     def test_empty_front_rejected(self):
         with pytest.raises(EvaluationError):
-            arb_decide(point((0, 0)), [], self._tiny_pool(), ArbStrategy(),
-                       np.random.default_rng(0))
+            decide(point((0, 0)), [], self._tiny_pool(), ArbStrategy(),
+                   np.random.default_rng(0))
 
     def test_threshold_ranges_enforced(self):
         with pytest.raises(EvaluationError):
@@ -460,7 +472,7 @@ class TestArbDecision:
         candidate = point(*[tuple(rng.normal(size=2)) for _ in range(3)])
         rivals = [point(*[tuple(rng.normal(size=2)) for _ in range(k)]) for k in (1, 2, 4)]
         strategy = ArbStrategy(alpha_l=0.2, alpha_u=0.9)
-        decision = arb_decide(candidate, rivals, ds, strategy, np.random.default_rng(77))
+        decision = decide(candidate, rivals, ds, strategy, np.random.default_rng(77))
         rng2 = np.random.default_rng(77)
         cand_draws = bootstrap_means_pooled(candidate, ds, 100, rng2)
         p_star = max(brute_dominance_probability(

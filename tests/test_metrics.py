@@ -31,7 +31,7 @@ class TestTrueMeanFilter:
     def test_front_points_all_kept(self):
         problem = make_problem("uf1")
         returned = on_front(problem, [0.0, 0.25, 1.0])
-        assert true_nondominated_filter(returned, problem) == returned
+        assert true_nondominated_filter(returned, problem)[0] == returned
 
     def test_dominated_point_removed(self):
         problem = make_problem("uf1")
@@ -39,7 +39,7 @@ class TestTrueMeanFilter:
         bad_x = good.decision.copy()
         bad_x[1] = min(bad_x[1] + 0.5, 1.0)  # off the manifold: dominated
         bad = EvaluatedPoint(decision=bad_x, samples=[vec(0, 0)])
-        kept = true_nondominated_filter([good, bad], problem)
+        kept = true_nondominated_filter([good, bad], problem)[0]
         assert kept == [good]
 
     def test_matches_bruteforce_on_random_points(self):
@@ -50,7 +50,7 @@ class TestTrueMeanFilter:
                                        samples=[vec(0, 0)]) for _ in range(20)]
             mus = np.array([problem.mean_fn(p.decision) for p in returned])
             expected = [returned[i] for i in brute_nondominated(mus)]
-            assert true_nondominated_filter(returned, problem) == expected
+            assert true_nondominated_filter(returned, problem)[0] == expected
 
 
 class TestHypervolume:

@@ -26,18 +26,23 @@ def ctx_for(pop, n_gen=0, max_gen=10):
     return DecisionContext(population=pop, n_gen=n_gen, max_gen=max_gen)
 
 
+def strengths(pop):
+    """``all_strengths`` over the matrix a fresh sweep's context builds."""
+    return all_strengths(pop, DecisionContext(population=pop).weak_matrix())
+
+
 class TestStrength:
     def test_dominating_three_of_four(self):
         pop = ranked([(0, 0), (1, 1), (2, 2), (3, 3)])
-        assert all_strengths(pop)[0] == pytest.approx(0.75)
+        assert strengths(pop)[0] == pytest.approx(0.75)
 
     def test_dominated_by_everything(self):
         pop = ranked([(3, 3), (1, 1), (0, 0), (2, 2)])
-        assert all_strengths(pop)[0] == 0.0
+        assert strengths(pop)[0] == 0.0
 
     def test_mutually_incomparable_all_zero(self):
         pop = ranked([(0, 3), (1, 2), (2, 1), (3, 0)])
-        assert [all_strengths(pop)[i] for i in range(4)] == [0, 0, 0, 0]
+        assert [strengths(pop)[i] for i in range(4)] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("n_obj", [2, 3])
     def test_all_strengths_match_bruteforce_with_ties(self, n_obj):
@@ -45,7 +50,7 @@ class TestStrength:
         for n in (1, 2, 7, 25, 60):
             objs = rng.integers(0, 4, size=(n, n_obj)).astype(float)
             pts = [EvaluatedPoint(decision=np.zeros(2), samples=[o]) for o in objs]
-            assert np.array_equal(all_strengths(nondominated_sort(pts)), brute_strengths(objs))
+            assert np.array_equal(strengths(nondominated_sort(pts)), brute_strengths(objs))
 
     @pytest.mark.parametrize("n_obj", [2, 3])
     def test_kept_matrix_follows_reevaluations(self, n_obj):
@@ -65,7 +70,7 @@ class TestStrength:
                 pop.members[i].add_sample(rng.integers(0, 4, size=n_obj).astype(float))
                 ctx.reevaluated(i)
                 kept = all_strengths(pop, ctx.weak_matrix())
-                assert kept.tobytes() == all_strengths(pop).tobytes()
+                assert kept.tobytes() == strengths(pop).tobytes()
                 assert kept.tobytes() == brute_strengths(pop.means).tobytes()
 
     def test_fraction_all_zero_gives_full_budget(self):
@@ -75,7 +80,7 @@ class TestStrength:
     def test_fraction_ratio_case(self):
         # strengths 0.75, 0.25, 0, 0 -> fractions 1, 1/3, 0, 0
         pop = ranked([(0, 0), (1, 3), (2, 4), (3, 0.5)])
-        assert [all_strengths(pop)[i] for i in range(4)] == [0.75, 0.25, 0, 0]
+        assert [strengths(pop)[i] for i in range(4)] == [0.75, 0.25, 0, 0]
         fr = [StrengthStrategy().share(i, ctx_for(pop)) for i in range(4)]
         assert fr == pytest.approx([1.0, 1 / 3, 0.0, 0.0])
 
@@ -199,7 +204,7 @@ class TestDecide:
         for i in range(size):
             assert 0.0 <= RankStrategy().share(i, ctx_for(pop)) <= 1.0
             assert 0.0 <= StrengthStrategy().share(i, ctx_for(pop)) <= 1.0
-            assert 0.0 <= all_strengths(pop)[i] <= 1.0
+            assert 0.0 <= strengths(pop)[i] <= 1.0
 
     def test_rank_fraction_nonincreasing_in_rank(self):
         pop = ranked([(0, 0), (1, 1), (2, 2), (3, 3)])

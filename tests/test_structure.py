@@ -3,7 +3,8 @@ package imports a name another module marks private with an underscore,
 and no module imports a name it never uses. No module rebinds a module
 global either: state kept between calls, such as a decision's per-sweep
 state, lives in an object a run owns, never in a cache that outlives the
-run or differs between worker processes."""
+run or differs between worker processes. And no module-level function or
+class is reached only from tests: package code names each one."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,23 @@ def test_no_global_statement(path):
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Global)]
     assert not found
+
+
+# Reached from outside the package only: perfbench patches it to trace the
+# pooled bootstrap, until perfbench wraps ``bootstrap_means_stacked`` instead.
+NAMED_OUTSIDE_ONLY = ["bootstrap.bootstrap_means_pooled"]
+
+
+def test_every_function_and_class_is_named_by_package_code():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    # The names each top-level statement uses, so a definition's own body does not count.
+    uses = {(stem, i): {node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            for stem, tree in trees.items() for i, stmt in enumerate(tree.body)}
+    unnamed = [f"{stem}.{stmt.name}" for stem, tree in trees.items()
+               for i, stmt in enumerate(tree.body)
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and not any(stmt.name in names for where, names in uses.items()
+                           if where != (stem, i))]
+    assert unnamed == NAMED_OUTSIDE_ONLY

@@ -54,7 +54,7 @@ def main() -> None:
     print(f"{'strategy':<30} {'hv_norm':>8} {'igd':>8} {'front':>6} {'spent':>6}")
     for label, run in runs.items():
         result = run(np.random.default_rng(args.seed))
-        rep = score_final_set(result.front, problem)
+        rep = score_final_set(result.front)
         print(f"{label:<30} {rep.hv_normalized:>8.4f} {rep.igd:>8.4f} "
               f"{len(result.front):>6d} {result.spent:>6d}")
 

@@ -38,7 +38,6 @@ shortcuts are exact, so every decision equals the one on the exact p*.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -50,35 +49,33 @@ if TYPE_CHECKING:
 
 
 class DispersionSet:
-    """Ring buffer of scaled residual vectors, capacity 100 by default.
-
-    Entries handed out by :meth:`centered` are re-centered so their
-    component-wise mean is exactly zero; the raw buffer keeps insertion
-    order and evicts the oldest entries beyond capacity.
-    """
+    """Sliding window of the last ``capacity`` (default 100) scaled residual
+    vectors, one (m, T) array, oldest first; :meth:`centered` re-centers
+    them so their component-wise mean is exactly zero."""
 
     def __init__(self, capacity: int = 100):
         if capacity < 1:
             raise EvaluationError("dispersion set capacity must be positive")
-        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self._capacity = capacity
+        self._raw: np.ndarray | None = None
         self._centered: np.ndarray | None = None
         self._range: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return 0 if self._raw is None else len(self._raw)
 
     def push(self, residual: np.ndarray) -> None:
         """Append one scaled residual vector, evicting the oldest if full."""
-        self._entries.append(np.asarray(residual, dtype=float))
+        row = np.array(residual, dtype=float, ndmin=2)
+        self._raw = row if self._raw is None else np.concatenate((self._raw, row))[-self._capacity:]
         self._centered = None
 
     def centered(self) -> np.ndarray:
         """The (m, T) view used for sampling: entries minus their column mean."""
-        if not self._entries:
+        if self._raw is None:
             raise EvaluationError("dispersion set is empty")
         if self._centered is None:
-            raw = np.asarray(self._entries)
-            self._centered = raw - raw.mean(axis=0)
+            self._centered = self._raw - self._raw.mean(axis=0)
             self._range = np.sort(self._centered, axis=0)[[0, -1]]
         return self._centered
 

@@ -173,6 +173,9 @@ class ExperimentConfig:
         self.metrics = from_mapping(MetricParams, self.metrics, "metrics key")
         if self.budget < self.selection.prestudy_budget:
             raise EvaluationError("budget must not be smaller than the prestudy budget")
+        split = self.selection.n_select + self.selection.n_compare
+        if split > self.replications:
+            raise EvaluationError(f"split needs {split} replications, have {self.replications}")
         # Build each strategy combination once, so a bad value fails at load, and
         # shape-check it at the prestudy budget: a shape refused at some budget is
         # refused at any smaller one. Two spellings of one strategy (an omitted
@@ -287,7 +290,7 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
     else:
         result = nsga2_run(problem, strategy, slice_.popsize, slice_.budget,
                            variation, rng)
-    report = score_final_set(result.front, problem, metric_params)
+    report = score_final_set(result.front, metric_params)
     return RunRecord(
         **_identity(slice_, replication, seed),
         spent=result.spent,

@@ -1,11 +1,11 @@
 """Quality assessment of returned point sets.
 
-The scoring pipeline evaluates the *true* mean function at each returned
-decision vector, drops points whose true means are dominated within the
-returned set, and scores what survives: dominated hypervolume against a
-nadir point (normalized by the true front's hypervolume) and the power-mean
-inverted generational distance against a dense front sample. Scoring real
-quality instead of noise luck is the whole point of the filter.
+Scoring reads the *true* mean each returned point kept at spawn, drops the
+points whose true means are dominated within the returned set, and scores
+what survives: dominated hypervolume against a nadir point (normalized by
+the true front's hypervolume) and the power-mean inverted generational
+distance against a dense front sample. Scoring real quality instead of
+noise luck is the whole point of the filter.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pareto import EvaluatedPoint, EvaluationError, dominance_matrix, require_at_least
-from .problems import NoisyProblem, sample_true_pf
+from .pareto import N_OBJECTIVES, EvaluatedPoint, EvaluationError, front_ranks, require_at_least
+from .problems import sample_true_pf
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,16 @@ class MetricReport:
     n_filtered: int
 
 
-def true_nondominated_filter(returned: list[EvaluatedPoint], problem: NoisyProblem
+def true_nondominated_filter(returned: list[EvaluatedPoint]
                              ) -> tuple[list[EvaluatedPoint], np.ndarray]:
-    """The points whose true means are not strictly dominated within the set,
-    and those true means, each computed once."""
+    """The points whose kept ``true_mean`` is not strictly dominated within
+    the set, that is of Pareto rank 1, and those true means."""
     if not returned:
         return [], np.empty((0, 0))
-    mus = np.array([problem.mean_fn(p.decision) for p in returned])
-    kept = ~dominance_matrix(mus).any(axis=0)
+    if any(p.true_mean is None for p in returned):
+        raise EvaluationError("scoring reads each point's true_mean, which Evaluator.spawn keeps")
+    mus = np.array([p.true_mean for p in returned])
+    kept = front_ranks(mus) == 1
     return [p for p, k in zip(returned, kept) if k], mus[kept]
 
 
@@ -69,12 +71,10 @@ def hypervolume(points: np.ndarray, nadir: np.ndarray) -> float:
     if pts.size == 0:
         return 0.0
     pts = np.atleast_2d(pts)
-    if pts.shape[1] != 2:
-        raise EvaluationError("hypervolume sweep is implemented for exactly 2 objectives")
+    if pts.shape[1] != N_OBJECTIVES:
+        raise EvaluationError(f"hypervolume needs {N_OBJECTIVES} objectives, got {pts.shape[1]}")
     nadir = np.asarray(nadir, dtype=float)
     pts = pts[np.all(pts < nadir, axis=1)]
-    if pts.size == 0:
-        return 0.0
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     hv = 0.0
     ceiling = nadir[1]
@@ -116,10 +116,10 @@ def igd_p(points: np.ndarray, pf: np.ndarray, power: float = 2.0) -> float:
     return float(np.mean(dists ** power) ** (1.0 / power))
 
 
-def score_final_set(returned: list[EvaluatedPoint], problem: NoisyProblem,
+def score_final_set(returned: list[EvaluatedPoint],
                     params: MetricParams = MetricParams()) -> MetricReport:
     """Apply the true-mean filter and compute the full metric report."""
-    filtered, true_means = true_nondominated_filter(returned, problem)
+    filtered, true_means = true_nondominated_filter(returned)
     pf, nadir, denom = reference(params)
     if filtered:
         hv_raw = hypervolume(true_means, nadir)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import DispersionSet
-from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
+from .pareto import (N_OBJECTIVES, EvaluatedPoint, EvaluationError, RankedPopulation,
                      nondominated_sort, weak_dominance)
 from .problems import NoisyProblem, evaluate_noisy, true_mean
 from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy, RteaStrategy,
@@ -45,7 +45,7 @@ class Evaluator:
         self.budget = budget
         self.dispersion = dispersion
         self.spent = 0
-        self._log = np.empty((budget, 2 + problem.n_objectives))
+        self._log = np.empty((budget, 2 + N_OBJECTIVES))
         self._next_uid = 0
 
     @property

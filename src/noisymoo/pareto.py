@@ -1,10 +1,11 @@
 """Objective-space vocabulary: one dominance kernel, non-dominated sorting,
 crowding distance, Pareto ranks.
 
-All comparisons are under minimization. Every dominance matrix comes from
-:func:`weak_dominance`; two-objective ranks come from ordered ``(f2, f1)``
-keys. Optimizers compare points by their sample means, never by individual
-noisy samples; every function here is a pure function of its inputs.
+Every problem has :data:`N_OBJECTIVES` = 2 objectives, stated here once. All
+comparisons are under minimization. Every dominance matrix comes from
+:func:`weak_dominance`; ranks come from ordered ``(f2, f1)`` keys.
+Optimizers compare points by their sample means, never by individual noisy
+samples; every function here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
+
+N_OBJECTIVES = 2  # every problem's objective count, stated once
 
 
 class EvaluationError(ValueError):
@@ -75,46 +78,26 @@ def weak_dominance(a: np.ndarray, b: np.ndarray, *, strict: bool = False) -> np.
     return out
 
 
-def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Pareto dominance: out[i, j] is True iff row i dominates row j. Given
-    a_t <= b_t everywhere, a_t < b_t somewhere is the same as b not weakly
-    dominating a, so the relation is ``weak & ~weak.T``."""
-    weak = weak_dominance(objectives, objectives)
-    return weak & ~weak.T
-
-
 def front_ranks(objectives: np.ndarray) -> np.ndarray:
     """1-based Pareto ranks: rank k members are non-dominated once ranks < k
-    are removed. Two objectives take Jensen's (2003) O(n log n) pass: in
-    lexicographic order, a point joins the first front whose last member,
-    kept as an ``(f2, f1)`` key in an ascending list, does not dominate it,
-    i.e. whose key is not smaller (a duplicate's is equal): that is
-    ``bisect_left``. Other objective counts peel fronts, O(n^2 * T).
+    are removed. Jensen's (2003) O(n log n) pass: in lexicographic order, a
+    point joins the first front whose last member, kept as an ``(f2, f1)``
+    key in an ascending list, does not dominate it, i.e. whose key is not
+    smaller (a duplicate's is equal): that is ``bisect_left``. Raises
+    :class:`EvaluationError` on an empty set or another objective count.
     """
     objs = np.asarray(objectives, dtype=float)
-    n = objs.shape[0]
-    if n == 0:
+    if objs.shape[0] == 0:
         raise EvaluationError("cannot rank an empty set")
-    ranks = np.zeros(n, dtype=np.int64)
-    if objs.shape[1] == 2:
-        keys = objs[:, ::-1].tolist()  # [f2, f1], compared lexicographically
-        tails: list[list[float]] = []
-        for i in np.lexsort((objs[:, 1], objs[:, 0])).tolist():
-            k = bisect_left(tails, keys[i])
-            tails[k:k + 1] = [keys[i]]  # replace that tail, or open a front
-            ranks[i] = k + 1
-        return ranks
-    dom = dominance_matrix(objs)
-    n_dominators = dom.sum(axis=0)
-    remaining = np.arange(n)
-    rank = 1
-    while remaining.size:
-        in_front = n_dominators[remaining] == 0
-        front = remaining[in_front]
-        ranks[front] = rank
-        remaining = remaining[~in_front]
-        n_dominators[remaining] -= dom[np.ix_(front, remaining)].sum(axis=0)
-        rank += 1
+    if objs.shape[1] != N_OBJECTIVES:
+        raise EvaluationError(f"ranking needs {N_OBJECTIVES} objectives, got {objs.shape[1]}")
+    ranks = np.zeros(objs.shape[0], dtype=np.int64)
+    keys = objs[:, ::-1].tolist()  # [f2, f1], compared lexicographically
+    tails: list[list[float]] = []
+    for i in np.lexsort((objs[:, 1], objs[:, 0])).tolist():
+        k = bisect_left(tails, keys[i])
+        tails[k:k + 1] = [keys[i]]  # replace that tail, or open a front
+        ranks[i] = k + 1
     return ranks
 
 
@@ -157,9 +140,9 @@ class EvaluatedPoint:
     ``mean`` is kept equal to the component-wise average of ``samples``: a
     running sum over the samples in arrival order, divided by the count.
     numpy's ``np.mean(samples, axis=0)`` sums the rows in that same order
-    for T >= 2 objectives, so the two agree bit for bit. ``true_mean`` is
-    the noise-free mean the :class:`~noisymoo.optimizers.Evaluator` computed
-    when it spawned the point (None for a point built by hand).
+    for T >= 2 objectives, so the two agree bit for bit. ``true_mean``, which
+    scoring reads, is the noise-free mean the :class:`~noisymoo.optimizers.Evaluator`
+    computed when it spawned the point (None for a point built by hand).
     """
 
     decision: np.ndarray
@@ -243,8 +226,6 @@ def nondominated_sort(points: list[EvaluatedPoint]) -> RankedPopulation:
     members keep their input order, so the result is stable with respect to
     the input.
     """
-    if not points:
-        raise EvaluationError("cannot sort an empty population")
     means = np.array([p.mean for p in points])
     ranks = front_ranks(means)
     return RankedPopulation(members=list(points), rank=ranks,

@@ -56,7 +56,8 @@ class NoiseLaw:
 
 @dataclass(frozen=True)
 class NoisyProblem:
-    """A deterministic mean function wrapped with an additive noise law."""
+    """A deterministic mean function of :data:`~noisymoo.pareto.N_OBJECTIVES`
+    objectives, wrapped with an additive noise law."""
 
     name: str
     dim: int
@@ -64,7 +65,6 @@ class NoisyProblem:
     upper: np.ndarray
     mean_fn: Callable[[np.ndarray], np.ndarray]
     noise: NoiseLaw = field(default_factory=NoiseLaw)
-    n_objectives: int = 2
 
     def in_bounds(self, x: np.ndarray) -> bool:
         return bool((x >= self.lower).all() and (x <= self.upper).all())
@@ -88,7 +88,7 @@ def evaluate_noisy(problem: NoisyProblem, mean: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """One noisy evaluation at a point whose :func:`true_mean` is ``mean``:
     mean + sigma * one standardized draw per objective."""
-    eps = problem.noise.standardized(rng, problem.n_objectives)
+    eps = problem.noise.standardized(rng, mean.size)
     return mean + problem.noise.sigma * eps
 
 

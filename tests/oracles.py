@@ -21,15 +21,6 @@ def brute_dominates(a, b) -> bool:
     return all_leq and any_lt
 
 
-def brute_dominance_matrix(objs: np.ndarray) -> np.ndarray:
-    n = len(objs)
-    dom = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            dom[i, j] = brute_dominates(objs[i], objs[j])
-    return dom
-
-
 def brute_weak_dominance(a: np.ndarray, b: np.ndarray, strict: bool = False) -> np.ndarray:
     """out[i, j]: row i of a is <= (strict: <) row j of b in every objective."""
     out = np.zeros((len(a), len(b)), dtype=bool)

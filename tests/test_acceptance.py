@@ -17,8 +17,8 @@ from noisymoo.harness import (ExperimentConfig, load_record, load_records, repor
                               sweep)
 from noisymoo.metrics import hypervolume, true_nondominated_filter
 from noisymoo.optimizers import environmental_select
-from noisymoo.pareto import EvaluatedPoint, nondominated_sort
-from noisymoo.problems import NoiseLaw, NoisyProblem
+from noisymoo.pareto import EvaluatedPoint, EvaluationError, nondominated_sort
+from noisymoo.problems import NoiseLaw
 
 from .oracles import (brute_dominance_probability, brute_environmental_select,
                       brute_front_ranks, brute_nondominated,
@@ -45,21 +45,25 @@ def test_criterion_1_oracle_equivalence():
         n = int(rng.integers(2, 51))
         t = 2 if case % 2 == 0 else 3
         objs = np.round(rng.uniform(0, 1, size=(n, t)), 2)  # rounding forces ties
-        points = [EvaluatedPoint(decision=o.copy(), samples=[o], uid=i)
+        points = [EvaluatedPoint(decision=o.copy(), samples=[o], uid=i, true_mean=o)
                   for i, o in enumerate(objs)]
+        popsize = max(1, n // 2)
+        if t == 3:  # every problem has two objectives; three are refused
+            for refused in (lambda: nondominated_sort(points),
+                            lambda: environmental_select(points, popsize),
+                            lambda: true_nondominated_filter(points)):
+                with pytest.raises(EvaluationError, match="ranking needs 2 objectives"):
+                    refused()
+            continue
 
         ranked = nondominated_sort(points)
         assert np.array_equal(ranked.rank, brute_front_ranks(objs))
 
-        popsize = max(1, n // 2)
         survivors = environmental_select(points, popsize)
         expected = brute_environmental_select(objs, popsize)
         assert [s.uid for s in survivors] == expected
 
-        problem = NoisyProblem(name="synthetic", dim=t, lower=np.zeros(t),
-                               upper=np.ones(t), mean_fn=lambda x: x,
-                               n_objectives=t)
-        kept = true_nondominated_filter(points, problem)[0]
+        kept = true_nondominated_filter(points)[0]
         assert [p.uid for p in kept] == brute_nondominated(objs)
     elapsed = time.perf_counter() - started
     _verdict(1, "oracle equivalence", elapsed < 5.0, f"elapsed={elapsed:.2f}s")

@@ -69,7 +69,7 @@ class TestDispersionSet:
         ev = pooled_evaluator()
         reevaluated(ev, (0, 0), (2, 2))
         reevaluated(ev, (2, 2), (0, 0))
-        raw = sorted(tuple(e) for e in np.asarray(ev.dispersion._entries))
+        raw = sorted(tuple(e) for e in ev.dispersion._raw)
         r2 = np.sqrt(2)
         assert raw == [(-r2, -r2), (r2, r2)]
 
@@ -80,7 +80,7 @@ class TestDispersionSet:
         for i in range(60, 120):
             ds.push(vec(i, i))
         assert len(ds) == 100
-        assert np.asarray(ds._entries)[0, 0] == 20
+        assert ds._raw[0, 0] == 20
 
     def test_sampled_view_is_centered(self):
         ds = DispersionSet()
@@ -97,7 +97,7 @@ class TestDispersionSet:
         ev = pooled_evaluator()
         reevaluated(ev, (0, 0), (2, 2))
         assert len(ev.dispersion) == 1
-        assert np.allclose(ev.dispersion._entries[0], np.sqrt(2) * (vec(2, 2) - vec(1, 1)))
+        assert np.allclose(ev.dispersion._raw[0], np.sqrt(2) * (vec(2, 2) - vec(1, 1)))
 
     @pytest.mark.parametrize("capacity", [1, 5, 100])
     @pytest.mark.parametrize("noise", [NoiseLaw(), NoiseLaw(kind="gaussian", sigma=0.5),
@@ -113,7 +113,7 @@ class TestDispersionSet:
                     points.append(ev.spawn(ev.problem.random_decision(ev.rng), 0))
                 else:
                     ev.reevaluate(points[choice.integers(0, len(points))], 0)
-            pool = np.asarray(ev.dispersion._entries).reshape(-1, 2)
+            pool = ev.dispersion._raw
             expected = replay_pool(ev.log, capacity)
             assert pool.shape == expected.shape and pool.tobytes() == expected.tobytes()
 

@@ -232,7 +232,9 @@ BAD_CONFIGS = {
     "n_select_negative": ({"selection": {**SELECTION, "n_select": -1}}, "n_select"),
     "n_compare_zero": ({"selection": {**SELECTION, "n_compare": 0}}, "n_compare"),
     "n_repeats_zero": ({"selection": {**SELECTION, "n_repeats": 0}}, "n_repeats"),
-    "arb_budget_below_init": ({"budget": 60, "selection": {"prestudy_budget": 60},
+    "selection_exceeds_replications": ({"selection": {"prestudy_budget": 250}},
+                                       "split needs 10 replications, have 2"),
+    "arb_budget_below_init": ({"budget": 60, "selection": {**SELECTION, "prestudy_budget": 60},
                                "strategies": [{"kind": "arb"}]},
                               "budget 60 below initialization cost 220"),
     "prestudy_below_init": ({"strategies": [{"kind": "arb", "grid": {"init_popsize": [270],
@@ -428,18 +430,18 @@ def test_damaged_record_exits_2_with_one_line(command, damage, config_path, tmp_
 
 
 def test_select_error_exits_2_with_one_line(config_path, tmp_path, capsys):
+    # A split the replications cannot fill is refused at load: sweep runs
+    # nothing, rather than running the grid for select to refuse afterwards.
     config = json.loads(config_path.read_text())
     config.update(noise=[{"kind": "none"}], strategies=[{"kind": "static"}],
                   selection={"n_select": 2, "n_compare": 1, "prestudy_budget": 250})
     config_path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["select", "--config", str(config_path), "--protocol", "split",
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "split needs 3 replications, have 2" in err[0]
-    assert not list(out.glob("selection_*.json"))
+    for argv in (["sweep"], ["select", "--protocol", "split"]):
+        assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "split needs 3 replications, have 2" in err[0]
+    assert not out.exists()
 
 
 def _sweep_argv(config_path, out):

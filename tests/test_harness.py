@@ -20,10 +20,14 @@ from noisymoo.harness import (AGGREGATE_HEADER, PER_RUN_HEADER, ExperimentConfig
                               sweep, write_record)
 from noisymoo.metrics import MetricParams, score_final_set
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
-from noisymoo.problems import make_problem
 from noisymoo.resampling import ResamplingStrategy, strategy_from_dict, strategy_type
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+
+
+# The fewest replications a config can have: a 1 + 1 selection split needs two.
+TWO_REPS = dict(replications=2, selection={"n_select": 1, "n_compare": 1, "n_repeats": 10,
+                                           "prestudy_budget": 60})
 
 
 def tiny_config(**overrides):
@@ -166,7 +170,7 @@ class TestConfigAndSlices:
         assert len(harness.FAMILIES) == len(named) and set(harness.FAMILIES) == named
 
     def test_selection_keys_default_one_by_one(self):
-        config = tiny_config(budget=2400, selection={"n_select": 1})
+        config = tiny_config(budget=2400, replications=5, selection={"n_select": 1})
         assert asdict(config.selection) == {"n_select": 1, "n_compare": 4, "n_repeats": 100,
                                     "prestudy_budget": 2000}
 
@@ -181,7 +185,8 @@ class TestConfigAndSlices:
                     "rtea": ("rtea", "rtea", "rtea")}
         config = tiny_config(noise=[{"kind": "none"}], budget=240,
                              strategies=[{"kind": kind} for kind in expected],
-                             selection={"prestudy_budget": 220})
+                             selection={"n_select": 2, "n_compare": 1,
+                                        "prestudy_budget": 220})
         slices = config.slices()
         assert {s.strategy["kind"]: (s.family, s.mode) for s in slices} == {
             kind: (family, mode) for kind, (family, mode, _) in expected.items()}
@@ -300,7 +305,7 @@ class TestSweep:
         live = records / f".b_r000.json.{os.getpid()}.tmp"
         for tmp in (dead, live):
             tmp.write_text("{")
-        sweep(tiny_config(noise=[{"kind": "none"}], replications=1), tmp_path)
+        sweep(tiny_config(noise=[{"kind": "none"}], **TWO_REPS), tmp_path)
         assert not dead.exists() and live.exists()
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
@@ -313,7 +318,7 @@ class TestSweep:
         zombie = records / f".a_r000.json.{child.pid}.tmp"
         zombie.write_text("{")
         try:
-            sweep(tiny_config(noise=[{"kind": "none"}], replications=1), tmp_path)
+            sweep(tiny_config(noise=[{"kind": "none"}], **TWO_REPS), tmp_path)
         finally:
             child.wait()
         assert not zombie.exists()
@@ -353,18 +358,18 @@ class TestSweep:
 
 
 def test_scoring_reference_is_built_once_per_metrics_setting(tmp_path, monkeypatch):
-    config = tiny_config(noise=[{"kind": "none"}], replications=1)
+    config = tiny_config(noise=[{"kind": "none"}], **TWO_REPS)
     sweep(config, tmp_path)
     sampled = []
     real = metrics.sample_true_pf
     monkeypatch.setattr(metrics, "sample_true_pf", lambda n: sampled.append(n) or real(n))
     metrics.reference.cache_clear()
     params = MetricParams()
-    problem = make_problem("uf1")
-    point = EvaluatedPoint(decision=np.full(10, 0.5), samples=[np.zeros(2)])
+    point = EvaluatedPoint(decision=np.full(10, 0.5), samples=[np.zeros(2)],
+                           true_mean=np.zeros(2))
     for returned in ([], [point]):
-        score_final_set(returned, problem, params)
-    assert len(load_records(config, tmp_path)) == 2
+        score_final_set(returned, params)
+    assert len(load_records(config, tmp_path)) == 4
     assert sampled == [params.n_pf]
 
 

@@ -169,14 +169,15 @@ class TestEnvironmentalSelect:
         # exactly, so both keep their input order.
         cases.append((np.array([(1, 3), (0, 2), (3, 5), (2, 0), (3, 1), (1, 1), (2, 2),
                                 (4, 4)], dtype=float), 6))
-        # Each rank-2 point is the extreme of some objective, so the boundary
-        # front's crowding is inf throughout and its split goes by index.
-        cases.append((np.array([(1, 2, 3), (0, 0, 0), (3, 1, 2), (2, 3, 1), (5, 5, 5)],
-                               dtype=float), 3))
+        # Both rank-2 points are extremes, so the boundary front's crowding
+        # is inf throughout and its split goes by index.
+        cases.append((np.array([(3, 1), (0, 0), (1, 3), (5, 5)], dtype=float), 2))
         for objs, popsize in cases:
             survivors = environmental_select(pts([tuple(o) for o in objs]), popsize)
             expected = brute_environmental_select(objs, popsize)
             assert [s.uid for s in survivors] == expected
+        with pytest.raises(EvaluationError, match="ranking needs 2 objectives, got 3"):
+            environmental_select(pts([(1, 2, 3), (0, 0, 0), (3, 1, 2)]), 2)
 
     def test_elitism_first_front_survives_when_it_fits(self):
         rng = np.random.default_rng(5)
@@ -224,7 +225,7 @@ class TestNsga2:
         res = nsga2_run(problem, StaticStrategy(n=1), 40, 4000, VAR,
                         np.random.default_rng(11))
         assert res.spent == 4000
-        report = score_final_set(res.front, problem)
+        report = score_final_set(res.front)
         assert report.hv_normalized >= 0.65
 
     def test_one_decision_context_per_generation(self, monkeypatch):
@@ -301,7 +302,7 @@ class TestRtea:
         # parent pool converges slower than NSGA-II here.
         problem = make_problem("uf1")
         res = rtea_run(problem, RteaStrategy(), 4000, VAR, np.random.default_rng(19))
-        report = score_final_set(res.front, problem)
+        report = score_final_set(res.front)
         assert report.hv_normalized >= 0.5
 
     def test_initial_sample_larger_than_budget_rejected(self):

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from noisymoo.metrics import MetricParams
-from noisymoo.pareto import (EvaluatedPoint, EvaluationError, crowding_distance,
-                             dominance_matrix, from_mapping, front_ranks, nondominated_sort,
-                             weak_dominance)
+from noisymoo.pareto import (EvaluatedPoint, EvaluationError, crowding_distance, from_mapping,
+                             front_ranks, nondominated_sort, weak_dominance)
 from noisymoo.problems import NoiseLaw
 from noisymoo.resampling import StaticStrategy, TimeStrategy
 
-from .oracles import (brute_crowding_distance, brute_dominance_matrix, brute_front_ranks,
+from .oracles import (brute_crowding_distance, brute_dominates, brute_front_ranks,
                       brute_weak_dominance)
 
 vec = lambda *v: np.array(v, dtype=float)
@@ -24,7 +23,11 @@ def weak_pair(a, b, strict=False):
 
 
 def dominates(a, b):
-    return bool(dominance_matrix(np.array([a, b], dtype=float))[0, 1])
+    return front_ranks(np.array([a, b], dtype=float)).tolist() == [1, 2]
+
+
+def indifferent(*objs):
+    return bool((front_ranks(np.array(objs, dtype=float)) == 1).all())
 
 
 def _points(objs):
@@ -63,23 +66,19 @@ class TestRelations:
         assert not dominates((1, 1), (0, 0))
 
     def test_indifference(self):
-        assert not dominance_matrix([(1, 2), (1, 2)]).any()
-        assert not dominance_matrix([(0, 2), (1, 1)]).any()
-        assert dominance_matrix([(0, 0), (1, 1)]).any()
+        assert indifferent((1, 2), (1, 2))
+        assert indifferent((0, 2), (1, 1))
+        assert not indifferent((0, 0), (1, 1))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(EvaluationError):
             weak_dominance(vec(1, 2)[None], vec(1, 2, 3)[None])
 
     @given(finite_objs)
-    def test_trichotomy(self, objs):
-        dom = dominance_matrix(objs)
-        assert not (dom & dom.T).any()
-
-    @given(finite_objs)
     def test_strict_implies_weak(self, objs):
-        dom, weak = dominance_matrix(objs), weak_dominance(objs, objs)
-        assert (dom <= weak).all()
+        weak = weak_dominance(objs, objs)
+        for i, j in np.argwhere(~weak):
+            assert not brute_dominates(objs[i], objs[j])
         for i, j in np.argwhere(weak & weak.T):
             assert np.array_equal(objs[i], objs[j])
 
@@ -116,21 +115,32 @@ class TestSorting:
             assert np.array_equal(pop.rank, brute_front_ranks(objs))
 
     @pytest.mark.parametrize("n_obj", [2, 3])
-    def test_matrix_and_ranks_match_bruteforce_with_ties(self, n_obj):
+    def test_ranks_match_bruteforce_with_ties(self, n_obj):
         # Values from {0, 1, 2, 3} make ties on single objectives and
-        # duplicate points common.
+        # duplicate points common. Ranking refuses any objective count but two.
         rng = np.random.default_rng(n_obj)
         for n in (1, 2, 7, 25, 60):
             objs = rng.integers(0, 4, size=(n, n_obj)).astype(float)
-            assert np.array_equal(dominance_matrix(objs), brute_dominance_matrix(objs))
-            assert np.array_equal(front_ranks(objs), brute_front_ranks(objs))
+            if n_obj == 2:
+                assert np.array_equal(front_ranks(objs), brute_front_ranks(objs))
+            else:
+                with pytest.raises(EvaluationError, match="ranking needs 2 objectives, got 3"):
+                    front_ranks(objs)
 
     @given(finite_objs)
     @settings(max_examples=40, deadline=None)
     def test_matches_bruteforce_property(self, objs):
-        pop = nondominated_sort(_points(objs))
-        assert np.array_equal(pop.rank, brute_front_ranks(objs))
-        assert pop.crowding.tobytes() == _brute_crowding_per_front(objs, pop.rank).tobytes()
+        # Three objectives are refused; their crowding is checked on the oracle's ranks.
+        ranks = brute_front_ranks(objs)
+        if objs.shape[1] == 2:
+            pop = nondominated_sort(_points(objs))
+            assert np.array_equal(pop.rank, ranks)
+            crowding = pop.crowding
+        else:
+            with pytest.raises(EvaluationError):
+                nondominated_sort(_points(objs))
+            crowding = crowding_distance(objs, ranks)
+        assert crowding.tobytes() == _brute_crowding_per_front(objs, ranks).tobytes()
 
     @pytest.mark.parametrize("objs, ranks", [
         ([(0, 1), (1, 1)], [1, 2]),  # equal f2, smaller f1 dominates
@@ -161,7 +171,8 @@ class TestSorting:
     @pytest.mark.parametrize("n_obj", [2, 3])
     def test_crowding_of_every_front_matches_bruteforce(self, n_obj):
         # Small integer grids give several fronts, single-member fronts and
-        # duplicates; one objective is constant in every other set.
+        # duplicates; one objective is constant in every other set. Three
+        # objectives cannot be sorted, so they are crowded on the oracle's ranks.
         rng = np.random.default_rng(20 + n_obj)
         for case in range(300):
             n = int(rng.integers(1, 30))
@@ -169,25 +180,30 @@ class TestSorting:
             objs = np.vstack([objs, objs[rng.integers(0, n, size=int(rng.integers(0, 4)))]])
             if case % 2:
                 objs[:, case % n_obj] = 1.5
-            pop = nondominated_sort(_points(objs))
-            assert np.array_equal(pop.rank, brute_front_ranks(objs))
-            want = _brute_crowding_per_front(objs, pop.rank)
-            assert pop.crowding.tobytes() == want.tobytes()
+            ranks = brute_front_ranks(objs)
+            if n_obj == 2:
+                pop = nondominated_sort(_points(objs))
+                assert np.array_equal(pop.rank, ranks)
+                crowding = pop.crowding
+            else:
+                crowding = crowding_distance(objs, ranks)
+            assert crowding.tobytes() == _brute_crowding_per_front(objs, ranks).tobytes()
 
     def test_rank_one_closed_under_true_mean_filter(self):
         # With zero noise the sample means are the true means, so the
         # metrics-level filter keeps the whole first front.
         from noisymoo.metrics import true_nondominated_filter
-        from noisymoo.problems import make_problem
+        from noisymoo.problems import make_problem, true_mean
 
         problem = make_problem("uf1")
         rng = np.random.default_rng(3)
         pts = []
         for _ in range(30):
             x = problem.random_decision(rng)
-            pts.append(EvaluatedPoint(decision=x, samples=[problem.mean_fn(x)]))
+            mu = true_mean(problem, x)
+            pts.append(EvaluatedPoint(decision=x, samples=[mu], true_mean=mu))
         front = nondominated_sort(pts).first_front()
-        assert true_nondominated_filter(front, problem)[0] == front
+        assert true_nondominated_filter(front)[0] == front
 
 
 class TestCrowding:

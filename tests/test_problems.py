@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from noisymoo.pareto import EvaluationError
-from noisymoo.problems import (NoiseLaw, _index_sets, evaluate_noisy, make_problem,
+from noisymoo.pareto import N_OBJECTIVES, EvaluationError
+from noisymoo.problems import (_MEAN_FNS, NoiseLaw, _index_sets, evaluate_noisy, make_problem,
                                mean_fn_uf1, mean_fn_uf2, mean_fn_uf3,
                                sample_true_pf, true_mean)
 
@@ -102,6 +102,15 @@ class TestMeanFunctions:
         for _ in range(200):
             x = problem.random_decision(rng)
             assert fn(x) == pytest.approx(oracle(list(x)), abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_MEAN_FNS))
+    def test_every_registered_problem_has_the_stated_objective_count(self, name):
+        problem = make_problem(name, noise=NoiseLaw(kind="gaussian", sigma=0.5))
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            x = problem.random_decision(rng)
+            assert np.shape(problem.mean_fn(x)) == (N_OBJECTIVES,)
+            assert evaluate_noisy(problem, true_mean(problem, x), rng).shape == (N_OBJECTIVES,)
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(EvaluationError):

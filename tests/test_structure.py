@@ -64,3 +64,24 @@ def test_every_function_and_class_is_named_by_package_code():
                and not any(stmt.name in names for where, names in uses.items()
                            if where != (stem, i))]
     assert unnamed == NAMED_OUTSIDE_ONLY
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name, attribute, parameter and keyword a module's code spells."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.arg for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.keyword))})
+
+
+def test_true_means_and_the_objective_count_are_stated_once():
+    # A point's true mean is computed once, in ``problems.true_mean``, and
+    # kept on the point: no other module calls the mean function. The
+    # objective count is assigned once, in ``pareto``.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, tree in trees.items() if "mean_fn" in _identifiers(tree)] \
+        == ["problems.py"]
+    assigned = [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                for target in node.targets if getattr(target, "id", None) == "N_OBJECTIVES"]
+    assert assigned == ["pareto.py"]

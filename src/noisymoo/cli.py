@@ -53,7 +53,7 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
     out = _out_dir(args, config)
     budget = config.selection.prestudy_budget if args.prestudy else None
     started = sweep(config, out, jobs=args.jobs, budget=budget)
-    total = len(config.runs(budget))
+    total = len(config.slices(budget)) * config.replications
     label = "prestudy" if args.prestudy else "full"
     print(f"{label} sweep complete: {started} of {total} runs started, "
           f"records in {out / 'records'}")

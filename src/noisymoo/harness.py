@@ -204,7 +204,7 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON or UTF-8 is a ValueError
             raise EvaluationError(str(exc)) from None
         return cls.from_dict(raw)
 

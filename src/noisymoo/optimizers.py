@@ -19,7 +19,7 @@ import numpy as np
 
 from .bootstrap import DispersionSet
 from .pareto import (N_OBJECTIVES, EvaluatedPoint, EvaluationError, RankedPopulation,
-                     nondominated_sort, weak_dominance)
+                     front_ranks, nondominated_sort)
 from .problems import NoisyProblem, evaluate_noisy, true_mean
 from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy, RteaStrategy,
                          should_resample)
@@ -221,36 +221,25 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
                     ctx.reevaluated(i)
         pop = environmental_select(combined, popsize)
 
-    final = nondominated_sort(pop)
-    return RunResult(population=pop, front=final.first_front(), log=ev.log, spent=ev.spent)
+    return RunResult(population=pop, front=_first_front(pop), log=ev.log, spent=ev.spent)
 
 
-def _reseat(front: list[EvaluatedPoint], point: EvaluatedPoint) -> None:
-    """Place ``point`` (new, or a member whose mean moved) so ``front`` stays
-    mutually non-dominated; a dominated point or member leaves it for good.
-    One kernel call over [point, *front]: row and column 0 compare it with
-    each member, itself neutral."""
-    means = np.array([point.mean] + [f.mean for f in front])
-    weak = weak_dominance(means, means)
-    if (weak[1:, 0] & ~weak[0, 1:]).any():
-        front[:] = [f for f in front if f is not point]
-        return
-    expel = weak[0, 1:] & ~weak[1:, 0]
-    front[:] = [f for f, out in zip(front, expel) if not out]
-    if all(f is not point for f in front):
-        front.append(point)
+def _first_front(points: list[EvaluatedPoint]) -> list[EvaluatedPoint]:
+    """The rank-1 points under sample means, in input order."""
+    ranks = front_ranks(np.array([p.mean for p in points]))
+    return [p for p, r in zip(points, ranks) if r == 1]
 
 
 def _reevaluate_front(ev: Evaluator, front: list[EvaluatedPoint], n: int, iteration: int,
                       rng: np.random.Generator) -> None:
     """Spend ``n`` evaluations on the front, each on a least-sampled member
-    (ties by a uniform draw), reseating it after its new sample."""
+    (ties by a uniform draw), keeping only the rank-1 members after each."""
     for _ in range(n):
         counts = np.array([f.count for f in front])
         candidates = np.flatnonzero(counts == counts.min())
         target = front[int(candidates[rng.integers(0, candidates.size)])]
         ev.reevaluate(target, iteration)
-        _reseat(front, target)
+        front[:] = _first_front(front)
 
 
 def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
@@ -265,7 +254,7 @@ def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
     """
     check_run_shape(strategy, None, budget)
     ev = Evaluator(problem, rng, budget)
-    front = nondominated_sort(ev.spawn_random(strategy.p)).first_front()
+    front = _first_front(ev.spawn_random(strategy.p))
 
     iteration = 0
     refine = int(round(strategy.z * budget))
@@ -274,7 +263,7 @@ def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
         a, b = draw_pair(rng, len(front))
         child_x, _ = make_children(front[a].decision, front[b].decision,
                                    problem.lower, problem.upper, variation, rng)
-        _reseat(front, ev.spawn(child_x, iteration))
+        front = _first_front([*front, ev.spawn(child_x, iteration)])
         _reevaluate_front(ev, front, min(strategy.k, ev.remaining - refine), iteration, rng)
 
     while ev.remaining > 0:

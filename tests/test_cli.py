@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from noisymoo import harness
 from noisymoo.cli import main
 
 
@@ -115,6 +116,18 @@ def test_read_only_commands_refuse_incomplete_records(config_path, tmp_path, cap
     assert sorted((out / "records").iterdir()) == records[1:]
     assert not (out / "report").exists()
     assert not list(out.glob("selection_*.json"))
+
+
+def test_sweep_expands_the_run_plan_once(config_path, tmp_path, monkeypatch, capsys):
+    config = json.loads(config_path.read_text())
+    config.update(noise=[{"kind": "none"}], strategies=[{"kind": "static", "grid": {"n": [1, 2]}}])
+    config_path.write_text(json.dumps(config))
+    seeds, derive_seed = [], harness.derive_seed
+    monkeypatch.setattr(harness, "derive_seed",
+                        lambda *args: seeds.append(args) or derive_seed(*args))
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(seeds) == 2 * 2  # slices x replications
+    assert "full sweep complete: 4 of 4 runs started" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -264,7 +277,8 @@ def test_bad_config_exits_2_with_one_line(command, param, config_path, tmp_path,
 # id -> (what replaces the config file, text the error line must hold)
 UNREADABLE_CONFIGS = {"missing_file": (None, "No such file"),
                       "invalid_json": ('{"problems": ["uf1"],', "Expecting"),
-                      "not_an_object": ("[1]", "JSON object")}
+                      "not_an_object": ("[1]", "JSON object"),
+                      "not_utf8": (b'{"problems": ["uf1\xff"]}', "can't decode byte 0xff")}
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIGS))
@@ -275,7 +289,7 @@ def test_unreadable_config_exits_2_with_one_line(command, case, config_path, tmp
     if text is None:
         config_path.unlink()
     else:
-        config_path.write_text(text)
+        config_path.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out"),
             *COMMANDS[command]]
     assert main(argv) == 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from noisymoo import optimizers
 from noisymoo.metrics import score_final_set
-from noisymoo.optimizers import (Evaluator, _reseat, check_run_shape, draw_pair,
+from noisymoo.optimizers import (Evaluator, _first_front, check_run_shape, draw_pair,
                                  environmental_select, nsga2_run, rtea_run, tournament_select,
                                  tournament_winner)
 from noisymoo.pareto import (EvaluatedPoint, EvaluationError, RankedPopulation,
@@ -18,7 +18,7 @@ from noisymoo.resampling import (ArbStrategy, DecisionContext, RteaStrategy, SeE
 from noisymoo.variation import VariationConfig, make_children
 
 from .oracles import (brute_dominates, brute_environmental_select, brute_make_children,
-                      brute_pair_draw, brute_reseat)
+                      brute_nondominated, brute_pair_draw, brute_reseat)
 
 VAR = VariationConfig()
 
@@ -320,24 +320,27 @@ class TestRtea:
             for j, b in enumerate(means):
                 assert i == j or not brute_dominates(a, b)
 
-    @pytest.mark.parametrize("n_obj", [2, 3])
-    def test_reseat_matches_bruteforce(self, n_obj):
-        # Means on a 0.5 grid (a quarter grid once a member moves) make ties
-        # and equal means common.
-        rng = np.random.default_rng(40 + n_obj)
-        grid = lambda: rng.integers(0, 5, size=n_obj) * 0.5
-        for trial in range(300):
-            front = [EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=i)
-                     for i in range(rng.integers(1, 13))]
-            if trial % 2:
-                point = EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=99)
-            else:
-                point = front[rng.integers(0, len(front))]
-                point.add_sample(grid())
-            got_front = list(front)
-            _reseat(got_front, point)
-            brute_reseat(front, point)
-            assert [id(p) for p in got_front] == [id(p) for p in front]
+    def test_front_steps_match_bruteforce(self):
+        # Each trial starts from a valid front over means on a 0.5 grid (a
+        # quarter grid once a member moves), so ties and equal means are
+        # common, and steps it as rtea_run does: a spawn or a member's new
+        # sample, then rank 1 of the result. The oracle places the one point.
+        rng = np.random.default_rng(42)
+        grid = lambda: rng.integers(0, 5, size=2) * 0.5
+        for _ in range(300):
+            means = [grid() for _ in range(rng.integers(1, 13))]
+            front = [EvaluatedPoint(decision=np.zeros(2), samples=[means[i]], uid=i)
+                     for i in brute_nondominated(means)]
+            for step in range(5):
+                if rng.random() < 0.5:
+                    point = EvaluatedPoint(decision=np.zeros(2), samples=[grid()], uid=99 + step)
+                    got = _first_front([*front, point])
+                else:
+                    point = front[rng.integers(0, len(front))]
+                    point.add_sample(grid())
+                    got = _first_front(front)
+                brute_reseat(front, point)
+                assert [id(p) for p in got] == [id(p) for p in front]
 
 
 class TestEvaluator:

@@ -85,3 +85,12 @@ def test_true_means_and_the_objective_count_are_stated_once():
                 if isinstance(node, ast.Assign)
                 for target in node.targets if getattr(target, "id", None) == "N_OBJECTIVES"]
     assert assigned == ["pareto.py"]
+
+
+def test_dominance_matrices_are_built_in_three_modules_only():
+    # Every front is rank 1 of ``pareto.front_ranks``. Only the kernel's own
+    # module, the bootstrap draws and strength's kept matrix build dominance
+    # matrices, so a second hand-written Pareto filter fails here.
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if "weak_dominance" in path.read_text(encoding="utf-8")]
+    assert naming == ["bootstrap.py", "pareto.py", "resampling.py"]

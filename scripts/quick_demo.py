@@ -56,7 +56,7 @@ def main() -> None:
         result = run(np.random.default_rng(args.seed))
         rep = score_final_set(result.front)
         print(f"{label:<30} {rep.hv_normalized:>8.4f} {rep.igd:>8.4f} "
-              f"{len(result.front):>6d} {result.spent:>6d}")
+              f"{len(result.front):>6d} {len(result.log):>6d}")
 
 
 if __name__ == "__main__":

@@ -262,8 +262,8 @@ class RunRecord:
 def _point_payload(point) -> dict:
     return {
         "uid": point.uid,
-        "decision": [float(v) for v in point.decision],
-        "mean": [float(v) for v in point.mean],
+        "decision": point.decision.tolist(),
+        "mean": point.mean.tolist(),
         "count": point.count,
     }
 
@@ -293,8 +293,8 @@ def run_single(slice_: RunSlice, replication: int, seed: int,
     report = score_final_set(result.front, metric_params)
     return RunRecord(
         **_identity(slice_, replication, seed),
-        spent=result.spent,
-        eval_log=[[int(u), int(g), s] for u, g, *s in result.log.tolist()],
+        spent=len(result.log),
+        eval_log=result.log,
         final_population=[_point_payload(p) for p in result.population],
         returned_set=[_point_payload(p) for p in result.front],
         metrics=asdict(report),
@@ -357,16 +357,16 @@ def sweep(config: ExperimentConfig, out_dir: str | Path, *, jobs: int = 1,
     :func:`load_records` reads them in grid order, so every downstream
     report is independent of execution order.
     """
-    runs = config.runs(budget)
-    done = [run for run in runs if record_path(out_dir, run[0], run[1]).exists()]
+    done, jobs_args = [], []
+    for run in config.runs(budget):
+        path = record_path(out_dir, run[0], run[1])
+        if path.exists():
+            done.append(run)
+        else:
+            jobs_args.append((*run, config.metrics, str(path)))
     if done:
         _load_checked(out_dir, done[0], report_inputs(config.metrics))
     remove_stale_temps(Path(out_dir) / "records")
-    jobs_args = []
-    for slice_, rep, seed in runs:
-        path = record_path(out_dir, slice_, rep)
-        if not path.exists():
-            jobs_args.append((slice_, rep, seed, config.metrics, str(path)))
     if jobs_args:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -3,8 +3,8 @@
 Rolling Tide EA for RTEA, both under a strict shared evaluation budget.
 
 Every objective-function call goes through one :class:`Evaluator`, which
-counts the evaluations spent, keeps the log that two runs with the same
-seed replay, and in an arb run feeds each re-evaluation's residual to the
+keeps the evaluation log (its length is the spend; two runs with the same
+seed replay it), and in an arb run feeds each re-evaluation's residual to the
 dispersion pool. An evaluation past the budget raises, so each loop bounds
 its own spend with :attr:`Evaluator.remaining` and spends the budget
 exactly; once it runs out mid-generation, NSGA-II skips the generation's
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import DispersionSet
-from .pareto import (N_OBJECTIVES, EvaluatedPoint, EvaluationError, RankedPopulation,
-                     front_ranks, nondominated_sort)
+from .pareto import (EvaluatedPoint, EvaluationError, RankedPopulation, front_ranks,
+                     nondominated_sort)
 from .problems import NoisyProblem, evaluate_noisy, true_mean
 from .resampling import (ArbStrategy, DecisionContext, ResamplingStrategy, RteaStrategy,
                          should_resample)
@@ -33,9 +33,11 @@ class Evaluator:
     charge, if it is out of bounds) and evaluates it once; re-evaluating
     appends one more sample, one noise draw added to that kept mean, and
     pushes its scaled residual into the ``dispersion`` pool of an arb run.
-    An evaluation asked for once ``spent`` reaches ``budget`` raises
-    :class:`EvaluationError` before any draw or charge: the log, ``spent``,
-    the uid counter and the random stream stay as they were.
+    ``log`` holds one row per evaluation, in order, exactly as the record's
+    ``eval_log`` stores it: ``[uid, generation, [f1, f2]]``; its length is
+    the spend. An evaluation asked for once the log holds ``budget`` rows
+    raises :class:`EvaluationError` before any draw or charge: the log, the
+    uid counter and the random stream stay as they were.
     """
 
     def __init__(self, problem: NoisyProblem, rng: np.random.Generator, budget: int,
@@ -44,18 +46,12 @@ class Evaluator:
         self.rng = rng
         self.budget = budget
         self.dispersion = dispersion
-        self.spent = 0
-        self._log = np.empty((budget, 2 + N_OBJECTIVES))
+        self.log: list[list] = []
         self._next_uid = 0
 
     @property
     def remaining(self) -> int:
-        return self.budget - self.spent
-
-    @property
-    def log(self) -> np.ndarray:
-        """One row per evaluation so far, in order: uid, generation, sample."""
-        return self._log[: self.spent]
+        return self.budget - len(self.log)
 
     def _afford(self, n: int) -> None:
         if n > self.remaining:
@@ -76,9 +72,7 @@ class Evaluator:
         self._afford(1)
         y = evaluate_noisy(self.problem, point.true_mean, self.rng)
         point.add_sample(y)
-        row = self._log[self.spent]
-        row[0], row[1], row[2:] = point.uid, generation, y
-        self.spent += 1
+        self.log.append([point.uid, generation, y.tolist()])
         if self.dispersion is not None and point.count > 1:  # a spawn pushes nothing
             self.dispersion.push(point.scaled_residuals()[-1])
 
@@ -86,12 +80,11 @@ class Evaluator:
 @dataclass
 class RunResult:
     """What an optimizer hands back: final population, its first front
-    under sample means, the :attr:`Evaluator.log` array, and the spend."""
+    under sample means, and the :attr:`Evaluator.log`, whose length is the spend."""
 
     population: list[EvaluatedPoint]
     front: list[EvaluatedPoint]
-    log: np.ndarray
-    spent: int
+    log: list[list]
 
 
 def tournament_winner(pop: RankedPopulation, i: int, j: int,
@@ -221,7 +214,7 @@ def nsga2_run(problem: NoisyProblem, strategy: ResamplingStrategy, popsize: int,
                     ctx.reevaluated(i)
         pop = environmental_select(combined, popsize)
 
-    return RunResult(population=pop, front=_first_front(pop), log=ev.log, spent=ev.spent)
+    return RunResult(population=pop, front=_first_front(pop), log=ev.log)
 
 
 def _first_front(points: list[EvaluatedPoint]) -> list[EvaluatedPoint]:
@@ -270,4 +263,4 @@ def rtea_run(problem: NoisyProblem, strategy: RteaStrategy, budget: int,
         iteration += 1
         _reevaluate_front(ev, front, 1, iteration, rng)
 
-    return RunResult(population=list(front), front=front, log=ev.log, spent=ev.spent)
+    return RunResult(population=list(front), front=front, log=ev.log)

@@ -56,12 +56,12 @@ def replay_pool(log, capacity):
     of every evaluation that is not a point's first, the last ``capacity`` kept."""
     samples, pushed = {}, []
     for row in log:
-        seen = samples.setdefault(int(row[0]), [])
-        seen.append(row[2:])
+        seen = samples.setdefault(row[0], [])
+        seen.append(np.array(row[2]))
         n = len(seen)
         if n > 1:
             pushed.append(np.sqrt(n / (n - 1)) * (seen[-1] - np.mean(seen, axis=0)))
-    return np.asarray(pushed[-capacity:]).reshape(-1, log.shape[1] - 2)
+    return np.asarray(pushed[-capacity:]).reshape(-1, len(log[0][2]))
 
 
 class TestDispersionSet:

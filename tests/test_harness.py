@@ -19,8 +19,11 @@ from noisymoo.harness import (AGGREGATE_HEADER, PER_RUN_HEADER, ExperimentConfig
                               run_single, select_params_prestudy, select_params_split,
                               sweep, write_record)
 from noisymoo.metrics import MetricParams, score_final_set
+from noisymoo.optimizers import nsga2_run, rtea_run
 from noisymoo.pareto import EvaluatedPoint, EvaluationError
+from noisymoo.problems import NoiseLaw, make_problem
 from noisymoo.resampling import ResamplingStrategy, strategy_from_dict, strategy_type
+from noisymoo.variation import VariationConfig
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
@@ -246,6 +249,28 @@ class TestRunSingle:
         assert len(record.returned_set) > 1
         assert record.final_population == record.returned_set
 
+    @pytest.mark.parametrize("strategy", [{"kind": "arb", "init_popsize": 20, "seed_size": 10},
+                                          {"kind": "rtea", "p": 6}], ids=["nsga2", "rtea"])
+    def test_record_log_is_the_optimizers_log(self, strategy):
+        # The record stores the optimizer's log unconverted, so its rows must
+        # already hold what canonical JSON writes: int, int, two floats.
+        mode = "rtea" if strategy["kind"] == "rtea" else "sequential"
+        slice_ = RunSlice(problem="uf1", dim=10, noise={"kind": "gaussian", "sigma": 0.5},
+                          strategy=strategy, mode=mode, popsize=10, budget=200)
+        record = run_single(slice_, 0, 11)
+        problem = make_problem("uf1", dim=10, noise=NoiseLaw(kind="gaussian", sigma=0.5))
+        rng = np.random.default_rng(11)
+        if mode == "rtea":
+            result = rtea_run(problem, strategy_from_dict(strategy), 200, VariationConfig(), rng)
+        else:
+            result = nsga2_run(problem, strategy_from_dict(strategy), 10, 200,
+                               VariationConfig(), rng)
+        assert record.eval_log == result.log
+        assert json.loads(record.canonical_json())["eval_log"] == result.log
+        for uid, generation, sample in result.log:
+            assert type(uid) is int and type(generation) is int
+            assert type(sample) is list and [type(v) for v in sample] == [float, float]
+
     def test_loaded_record_is_its_file(self, tmp_path):
         slice_ = tiny_config().slices()[0]
         path = tmp_path / "run.json"
@@ -276,6 +301,22 @@ class TestSweep:
         assert reads == [record_path(tmp_path, slice_, rep).name]
         after = {p.name: p.read_bytes() for p in (tmp_path / "records").iterdir()}
         assert before == after
+
+    def test_each_record_path_is_checked_once(self, tmp_path, monkeypatch):
+        checked = []
+        exists = Path.exists
+
+        def counted(path, *args, **kwargs):
+            checked.append(path)
+            return exists(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "exists", counted)
+        config = tiny_config(noise=[{"kind": "none"}], **TWO_REPS)
+        plan = [record_path(tmp_path, slice_, rep) for slice_, rep, _ in config.runs()]
+        for _ in range(2):  # a fresh directory, then one that holds every record
+            checked.clear()
+            sweep(config, tmp_path)
+            assert checked == plan
 
     def test_partial_temp_file_is_not_a_record(self, tmp_path):
         # A writer killed before its rename leaves only a truncated temp file.

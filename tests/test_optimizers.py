@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -201,12 +202,10 @@ class TestNsga2:
         runs = [nsga2_run(problem, StaticStrategy(n=5), 10, 300, VAR,
                           np.random.default_rng(99)) for _ in range(2)]
         for res in runs:
-            assert res.spent == 300
             assert len(res.log) == 300
             assert len(res.population) == 10
         a, b = runs
-        assert np.array_equal(a.log[:, 0], b.log[:, 0])  # uids
-        assert np.array_equal(a.log[:, 2:], b.log[:, 2:])  # samples
+        assert a.log == b.log  # uids, generations and samples
         assert all(np.array_equal(x.decision, y.decision)
                    for x, y in zip(a.population, b.population))
 
@@ -224,7 +223,7 @@ class TestNsga2:
         problem = make_problem("uf1")
         res = nsga2_run(problem, StaticStrategy(n=1), 40, 4000, VAR,
                         np.random.default_rng(11))
-        assert res.spent == 4000
+        assert len(res.log) == 4000
         report = score_final_set(res.front)
         assert report.hv_normalized >= 0.65
 
@@ -238,14 +237,13 @@ class TestNsga2:
         monkeypatch.setattr(optimizers, "DecisionContext", recorded)
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
         res = nsga2_run(problem, TimeStrategy(n_max=3), 6, 300, VAR, np.random.default_rng(5))
-        assert len(contexts) == int(res.log[:, 1].max())  # generations run
+        assert len(contexts) == max(row[1] for row in res.log)  # generations run
         assert [c.n_gen for c in contexts] == list(range(1, len(contexts) + 1))
 
     def test_arb_run_spends_budget_exactly(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
         res = nsga2_run(problem, ArbStrategy(), 40, 1200, VAR,
                         np.random.default_rng(13))
-        assert res.spent == 1200
         assert len(res.log) == 1200
 
     def test_budget_below_initialization_rejected(self):
@@ -263,7 +261,7 @@ class TestNsga2:
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
         res = nsga2_run(problem, StaticStrategy(n=n), 10, 101, VAR,
                         np.random.default_rng(6))
-        uids = res.log[:, 0].astype(int)
+        uids = np.array([row[0] for row in res.log])
         counts = np.bincount(uids)
         assert (counts[:-1] == n).all() and 0 < counts[-1] < n
         for uid in range(10, len(counts)):  # the offspring
@@ -284,18 +282,19 @@ class TestRtea:
     def test_budget_exact_and_refinement_share(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
         res = rtea_run(problem, RteaStrategy(z=0.1), 1000, VAR, np.random.default_rng(17))
-        assert res.spent == 1000
         assert len(res.log) == 1000
         # The last round(0.1 * 1000) evaluations refine: no new point among
         # them, and the last offspring (with k = 1) comes just before.
-        _, first_rows = np.unique(res.log[:, 0], return_index=True)
-        assert 898 <= first_rows.max() < 900
+        first_rows = {}
+        for i, row in enumerate(res.log):
+            first_rows.setdefault(row[0], i)
+        assert 898 <= max(first_rows.values()) < 900
 
     def test_deterministic_under_seed(self):
         problem = make_problem("uf2", noise=NoiseLaw(kind="chisq", df=1, sigma=1.0))
         a = rtea_run(problem, RteaStrategy(), 500, VAR, np.random.default_rng(3))
         b = rtea_run(problem, RteaStrategy(), 500, VAR, np.random.default_rng(3))
-        assert np.array_equal(a.log[:, 2:], b.log[:, 2:])  # samples
+        assert a.log == b.log
 
     def test_zero_noise_run_reaches_sane_hypervolume(self):
         # Loose bound from reference runs at this budget; the front-only
@@ -346,13 +345,12 @@ class TestRtea:
 class TestEvaluator:
     @staticmethod
     def _state(ev):
-        return ev.spent, ev.log.copy(), ev._next_uid, ev.rng.bit_generator.state
+        return copy.deepcopy(ev.log), ev._next_uid, ev.rng.bit_generator.state
 
     @staticmethod
     def _assert_unchanged(ev, before):
-        spent, log, next_uid, rng_state = before
-        assert ev.spent == spent and ev._next_uid == next_uid
-        assert np.array_equal(ev.log, log)
+        log, next_uid, rng_state = before
+        assert ev.log == log and ev._next_uid == next_uid
         assert ev.rng.bit_generator.state == rng_state
 
     def test_raises_beyond_cap_and_changes_nothing(self):
@@ -361,7 +359,7 @@ class TestEvaluator:
         ev = Evaluator(problem, rng, budget=2)
         a = ev.spawn(problem.random_decision(rng), 0)
         ev.reevaluate(a, 0)
-        assert ev.spent == ev.budget == 2 and a.count == 2
+        assert len(ev.log) == ev.budget == 2 and a.count == 2
         x = problem.random_decision(rng)
         before = self._state(ev)
         for overspend in (lambda: ev.spawn(x, 1), lambda: ev.reevaluate(a, 1),
@@ -377,10 +375,10 @@ class TestEvaluator:
         ev = Evaluator(problem, rng, budget=5)
         with pytest.raises(EvaluationError):
             ev.spawn(np.full(10, 2.0), 0)
-        assert ev.spent == len(ev.log) == 0
+        assert ev.log == []
         point = ev.spawn(problem.random_decision(rng), 0)
         assert point.uid == 0
-        assert ev.spent == len(ev.log) == 1
+        assert len(ev.log) == 1
 
     def test_spawn_random_draws_then_spawns_or_raises_first(self):
         problem = make_problem("uf1", noise=NoiseLaw(kind="gaussian", sigma=0.5))
@@ -390,12 +388,12 @@ class TestEvaluator:
             ev.spawn_random(6)
         self._assert_unchanged(ev, before)
         points = ev.spawn_random(4)
-        assert [p.uid for p in points] == [0, 1, 2, 3] and ev.spent == len(ev.log) == 4
+        assert [p.uid for p in points] == [0, 1, 2, 3] and len(ev.log) == 4
         rng = np.random.default_rng(3)
         twin = Evaluator(problem, rng, budget=4)
         for _ in range(4):
             twin.spawn(problem.random_decision(rng), 0)
-        assert np.array_equal(ev.log, twin.log)
+        assert ev.log == twin.log
 
     def test_spawn_keeps_true_mean_for_every_sample(self):
         problem = make_problem("uf2")  # no noise: every sample is the true mean
@@ -422,7 +420,7 @@ class TestEvaluator:
             res = nsga2_run(problem, StaticStrategy(n=3), 10, 300, VAR, rng)
         else:
             res = rtea_run(problem, RteaStrategy(p=10), 300, VAR, rng)
-        n_points = len(set(res.log[:, 0]))
+        n_points = len({row[0] for row in res.log})
         assert len(res.log) == 300 > n_points == len(calls)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -432,4 +430,4 @@ class TestEvaluator:
         budget = 120
         res = nsga2_run(problem, StaticStrategy(n=2), 10, budget, VAR,
                         np.random.default_rng(seed))
-        assert res.spent == budget == len(res.log)
+        assert budget == len(res.log)

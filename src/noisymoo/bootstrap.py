@@ -38,7 +38,7 @@ shortcuts are exact, so every decision equals the one on the exact p*.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -131,12 +131,6 @@ def envelope(mean, own, count, pool) -> np.ndarray:
     return mean + (pool + own) / count
 
 
-def high_terms(points: list[EvaluatedPoint]) -> list[np.ndarray]:
-    """The means (k, T), high residual ranges (k, T) and counts (k, 1) of ``points``."""
-    return [np.array([p.mean for p in points]), np.array([p.residual_range()[1] for p in points]),
-            np.array([[p.count] for p in points], dtype=float)]
-
-
 def bootstrap_means_pooled(point: EvaluatedPoint, dispersion: DispersionSet,
                            n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Mixed bootstrap replicates of one point, shape (B, T): one pooled
@@ -172,7 +166,7 @@ def _objective_wins(candidate_draws: np.ndarray, rival_draws: np.ndarray) -> np.
 
 def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
                dispersion: DispersionSet, strategy: ArbStrategy,
-               rng: np.random.Generator, front_high: Callable[[], np.ndarray]) -> bool:
+               rng: np.random.Generator, front_high: np.ndarray) -> bool:
     """Decide whether the candidate deserves another evaluation.
 
     Computes p* = max over front members (the candidate itself excluded) of
@@ -182,9 +176,9 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
     first, then each rival's in front order. Returns False when p* > alpha_u
     (confidently good) or p* < alpha_l (hopeless), True inside the band, as
     ``strategy.side`` places it. A sole front member has no comparison
-    target, which counts as p* = 0. ``front_high`` returns the (F, T) high
-    envelopes of the front that the caller keeps (``DecisionContext.front_high``),
-    read only when there are rivals.
+    target, which counts as p* = 0. ``front_high`` holds the (F, T) high
+    envelopes of the front under the pool, in front order, as the caller
+    keeps them (``DecisionContext.front_high``).
     """
     if not front:
         raise EvaluationError("the front must be nonempty")
@@ -193,12 +187,12 @@ def arb_decide(candidate: EvaluatedPoint, front: list[EvaluatedPoint],
         return False
     pool = dispersion.column_range()
     low = envelope(candidate.mean, candidate.residual_range()[0], candidate.count, pool[0])
-    beatable = (low < front_high()).all(axis=1).tolist()
+    beatable = (low < front_high).all(axis=1).tolist()
     open_rivals = [ok for s, ok in zip(front, beatable) if s is not candidate]
     draws = bootstrap_means_stacked([candidate, *rivals], dispersion, strategy.n_boot, rng,
                                     [any(open_rivals), *open_rivals])
-    if not any(open_rivals):  # p* = 0, and nothing was built
-        return strategy.side(0.0) == 0
+    if not any(open_rivals):  # p* = 0 < alpha_l, and nothing was built
+        return False
     return decide_from_draws(draws[0], draws[1:], strategy)
 
 

@@ -48,9 +48,7 @@ class MetricReport:
 def true_nondominated_filter(returned: list[EvaluatedPoint]
                              ) -> tuple[list[EvaluatedPoint], np.ndarray]:
     """The points whose kept ``true_mean`` is not strictly dominated within
-    the set, that is of Pareto rank 1, and those true means."""
-    if not returned:
-        return [], np.empty((0, 0))
+    the nonempty set, that is of Pareto rank 1, and those true means."""
     if any(p.true_mean is None for p in returned):
         raise EvaluationError("scoring reads each point's true_mean, which Evaluator.spawn keeps")
     mus = np.array([p.true_mean for p in returned])
@@ -67,10 +65,7 @@ def hypervolume(points: np.ndarray, nadir: np.ndarray) -> float:
     nothing, so the result equals the hypervolume of the non-dominated
     subset.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return 0.0
-    pts = np.atleast_2d(pts)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != N_OBJECTIVES:
         raise EvaluationError(f"hypervolume needs {N_OBJECTIVES} objectives, got {pts.shape[1]}")
     nadir = np.asarray(nadir, dtype=float)
@@ -118,14 +113,11 @@ def igd_p(points: np.ndarray, pf: np.ndarray, power: float = 2.0) -> float:
 
 def score_final_set(returned: list[EvaluatedPoint],
                     params: MetricParams = MetricParams()) -> MetricReport:
-    """Apply the true-mean filter and compute the full metric report."""
+    """Apply the true-mean filter to a nonempty set and compute the full report."""
     filtered, true_means = true_nondominated_filter(returned)
     pf, nadir, denom = reference(params)
-    if filtered:
-        hv_raw = hypervolume(true_means, nadir)
-        igd = igd_p(true_means, pf, params.igd_power)
-    else:
-        hv_raw, igd = 0.0, float("inf")
-    return MetricReport(hv_raw=hv_raw, hv_normalized=hv_raw / denom, igd=igd,
+    hv_raw = hypervolume(true_means, nadir)
+    return MetricReport(hv_raw=hv_raw, hv_normalized=hv_raw / denom,
+                        igd=igd_p(true_means, pf, params.igd_power),
                         n_returned=len(returned), n_filtered=len(filtered),
                         **report_inputs(params))

@@ -101,21 +101,20 @@ def front_ranks(objectives: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def crowding_distance(objectives: np.ndarray, ranks: np.ndarray | None = None) -> np.ndarray:
-    """NSGA-II cuboid crowding distance of each point within its front, the
-    points of equal ``ranks`` (all points without ``ranks``): one pass per
-    objective covers every front. Boundary points of each objective get
-    infinite distance; interior points accumulate the normalized gap between
-    their two neighbours, summed over objectives. A zero-range objective
-    adds nothing to a front. Ties in the per-objective ordering are broken
-    by input index (stable sort), so interior values are invariant under
-    permutation of the input.
+def crowding_distance(objectives: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """NSGA-II cuboid crowding distance of each row of the (n, T)
+    ``objectives`` within its front, the rows of equal ``ranks`` (n,), as
+    :func:`front_ranks` gives them: one pass per objective covers every
+    front. Boundary points of each objective get infinite distance; interior
+    points accumulate the normalized gap between their two neighbours,
+    summed over objectives. A zero-range objective adds nothing to a front.
+    Ties in the per-objective ordering are broken by input index (stable
+    sort), so interior values are invariant under permutation of the input.
     """
-    objs = np.atleast_2d(np.asarray(objectives, dtype=float))
+    objs = np.asarray(objectives, dtype=float)
     n, n_obj = objs.shape
     if n == 0:
         raise EvaluationError("crowding distance of an empty front")
-    ranks = np.zeros(n, dtype=np.int64) if ranks is None else np.asarray(ranks)
     r = np.sort(ranks)  # fronts' positions in every (rank, value) order
     edge = np.concatenate(([True], r[1:] != r[:-1], [True]))  # edge[j]: a front ends before j
     first, last = np.flatnonzero(edge[:-1]), np.flatnonzero(edge[1:])

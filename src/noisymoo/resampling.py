@@ -104,6 +104,9 @@ class SeErrorStrategy:
     family: ClassVar[str] = "dynamic"
     loop: ClassVar[str] = "sequential"
 
+    def __post_init__(self) -> None:
+        require_at_least(self, 0, "threshold")
+
     def standard_error(self, point: EvaluatedPoint) -> float:
         """Per objective, the unbiased sample standard deviation of ``point``
         divided by sqrt(N), then the max across objectives. Undefined for N = 1."""
@@ -224,9 +227,12 @@ class DecisionContext:
         return self._weak
 
     def front_high(self) -> np.ndarray:
-        """The (F, T) high envelopes of the front members under the live pool."""
+        """The (F, T) high envelopes of the front, in order, under the live, nonempty
+        pool; their terms (means, high residual ends, counts) are kept for the sweep."""
         if self._high_terms is None:
-            self._high_terms = bootstrap.high_terms(self.front)
+            self._high_terms = [np.array([p.mean for p in self.front]),
+                                np.array([p.residual_range()[1] for p in self.front]),
+                                np.array([[p.count] for p in self.front], dtype=float)]
         pool = self.dispersion.column_range()
         if self._pool is not pool:
             self._pool, self._high = pool, bootstrap.envelope(*self._high_terms, pool[1])
@@ -261,7 +267,8 @@ def all_strengths(pop: RankedPopulation, weak: np.ndarray) -> np.ndarray:
 def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext, i: int) -> bool:
     """One resampling decision for member ``i`` of the context's population:
     the budget-share rule, the standard-error threshold, or the arb rule,
-    which needs the context's front, dispersion pool and random stream.
+    which needs the context's nonempty front, dispersion pool and random
+    stream, and reads the front's kept envelopes (:meth:`DecisionContext.front_high`).
     Static and RTEA, which decide nothing, are refused."""
     point = ctx.population.members[i]
     if isinstance(strategy, BudgetShare):
@@ -269,10 +276,10 @@ def should_resample(strategy: ResamplingStrategy, ctx: DecisionContext, i: int) 
     if isinstance(strategy, SeErrorStrategy):
         return point.count < 2 or strategy.standard_error(point) > strategy.threshold
     if isinstance(strategy, ArbStrategy):
-        if ctx.front is None or ctx.dispersion is None or ctx.rng is None:
-            raise EvaluationError("arb decisions need front, dispersion and rng in the context")
+        if not ctx.front or ctx.dispersion is None or ctx.rng is None:
+            raise EvaluationError("arb decisions need a nonempty front, dispersion and rng")
         return bootstrap.arb_decide(point, ctx.front, ctx.dispersion, strategy, ctx.rng,
-                                    ctx.front_high)
+                                    ctx.front_high())
     raise EvaluationError(f"no per-point resampling decision for {strategy!r}")
 
 

@@ -26,7 +26,7 @@ def point(*samples):
 
 def decide(candidate, front, ds, strategy, rng):
     """``arb_decide`` with the front envelopes a sweep's context keeps."""
-    front_high = DecisionContext(population=None, front=front, dispersion=ds).front_high
+    front_high = DecisionContext(population=None, front=front, dispersion=ds).front_high()
     return arb_decide(candidate, front, ds, strategy, rng, front_high)
 
 
@@ -449,9 +449,9 @@ class TestArbDecision:
                       np.random.default_rng(0)) is False
 
     def test_empty_front_rejected(self):
-        with pytest.raises(EvaluationError):
-            decide(point((0, 0)), [], self._tiny_pool(), ArbStrategy(),
-                   np.random.default_rng(0))
+        with pytest.raises(EvaluationError, match="front must be nonempty"):
+            arb_decide(point((0, 0)), [], self._tiny_pool(), ArbStrategy(),
+                       np.random.default_rng(0), np.empty((0, 2)))
 
     def test_threshold_ranges_enforced(self):
         with pytest.raises(EvaluationError):

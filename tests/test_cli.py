@@ -152,6 +152,8 @@ BAD_CONFIGS = {
                             "rtea initial sample p=400 exceeds the budget"),
     "rtea_p_zero": ({"strategies": [{"kind": "rtea", "grid": {"p": [0]}}]},
                     "p must be at least 1, got 0"),
+    "sederror_negative": ({"strategies": [{"kind": "sederror", "grid": {"threshold": [-1.0]}}]},
+                          "threshold must be at least 0, got -1.0"),
     "grid_loop": ({"strategies": [{"kind": "static", "grid": {"loop": ["rtea"]}}]}, "loop"),
     "metrics_bogus": ({"metrics": {"bogus": 1}}, "bogus"),
     "variation_bogus": ({"variation": {"sbx_eta": 5.0, "sbx_prob": 0.9,

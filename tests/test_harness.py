@@ -406,9 +406,9 @@ def test_scoring_reference_is_built_once_per_metrics_setting(tmp_path, monkeypat
     monkeypatch.setattr(metrics, "sample_true_pf", lambda n: sampled.append(n) or real(n))
     metrics.reference.cache_clear()
     params = MetricParams()
-    point = EvaluatedPoint(decision=np.full(10, 0.5), samples=[np.zeros(2)],
-                           true_mean=np.zeros(2))
-    for returned in ([], [point]):
+    points = [EvaluatedPoint(decision=np.full(10, 0.5), samples=[np.zeros(2)],
+                             true_mean=np.full(2, mu)) for mu in (0.0, 0.5)]
+    for returned in ([points[0]], points):
         score_final_set(returned, params)
     assert len(load_records(config, tmp_path)) == 4
     assert sampled == [params.n_pf]

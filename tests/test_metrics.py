@@ -124,9 +124,10 @@ class TestNormalizedHypervolume:
         assert report.n_filtered == 1000
         assert report.hv_normalized == pytest.approx(1.0)
 
-    def test_empty_set_scores_zero(self):
-        report = score_final_set([])
-        assert report.hv_raw == report.hv_normalized == 0.0
+    def test_empty_set_is_refused(self):
+        # A run's front is never empty; scoring refuses one where it is ranked.
+        with pytest.raises(EvaluationError, match="cannot rank an empty set"):
+            score_final_set([])
 
     def test_degenerate_nadir_rejected(self):
         # Two front samples are the corners (0, 1) and (1, 0); without a margin
@@ -142,14 +143,15 @@ class TestNormalizedHypervolume:
 
     def test_nadir_construction(self):
         assert reference(MetricParams())[1] == pytest.approx([1.1, 1.1])
-        assert score_final_set([]).nadir == pytest.approx((1.1, 1.1))
+        report = score_final_set(on_front(make_problem("uf1"), [0.25]))
+        assert report.nadir == pytest.approx((1.1, 1.1))
 
     @pytest.mark.parametrize("params", [MetricParams(),
                                         MetricParams(n_pf=500, nadir_delta=0.3, igd_power=1.0)],
                              ids=["default", "other"])
     def test_report_inputs_are_the_reports(self, params):
         problem = make_problem("uf1")
-        for returned in ([], on_front(problem, [0.25, 0.5])):
+        for returned in (on_front(problem, [0.25]), on_front(problem, [0.25, 0.5])):
             report = score_final_set(returned, params)
             assert report_inputs(params) == {"igd_power": report.igd_power,
                                              "pf_sample_size": report.pf_sample_size,

@@ -246,6 +246,30 @@ class TestNsga2:
                         np.random.default_rng(13))
         assert len(res.log) == 1200
 
+    def test_no_arb_decision_sees_an_empty_pool(self, monkeypatch):
+        # arb_decide reads the front's envelopes under the pool, so a decision
+        # needs a nonempty pool: the run seeds it in generation 0, before any.
+        pool_sizes = []
+        real = optimizers.should_resample
+
+        def recorded(strategy, ctx, i):
+            pool_sizes.append(len(ctx.dispersion))
+            return real(strategy, ctx, i)
+
+        monkeypatch.setattr(optimizers, "should_resample", recorded)
+        shapes = np.random.default_rng(30)
+        for case in range(30):
+            popsize = 2 * int(shapes.integers(1, 6))
+            seed_size = int(shapes.integers(1, 8))
+            init_popsize = max(popsize, seed_size) + int(shapes.integers(0, 4))
+            strategy = ArbStrategy(n_boot=10, capacity=int(shapes.integers(1, 6)),
+                                   init_popsize=init_popsize, seed_size=seed_size)
+            budget = init_popsize + seed_size + int(shapes.integers(0, 80))
+            noise = NoiseLaw(kind="gaussian", sigma=0.5) if case % 2 else None
+            nsga2_run(make_problem("uf1", noise=noise), strategy, popsize, budget, VAR,
+                      np.random.default_rng(case))
+        assert len(pool_sizes) > 1000 and min(pool_sizes) >= 1
+
     def test_budget_below_initialization_rejected(self):
         problem = make_problem("uf1")
         with pytest.raises(EvaluationError):

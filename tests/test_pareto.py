@@ -206,26 +206,31 @@ class TestSorting:
         assert true_nondominated_filter(front)[0] == front
 
 
+def one_front_crowding(front):
+    """Crowding of points that all share rank 1."""
+    return crowding_distance(front, np.ones(len(front), dtype=np.int64))
+
+
 class TestCrowding:
     def test_single_point_is_boundary(self):
-        assert np.isinf(crowding_distance([vec(1, 2)])).all()
+        assert np.isinf(one_front_crowding([vec(1, 2)])).all()
 
     def test_hand_computed_interior(self):
-        dist = crowding_distance([vec(0, 1), vec(0.5, 0.5), vec(1, 0)])
+        dist = one_front_crowding([vec(0, 1), vec(0.5, 0.5), vec(1, 0)])
         assert np.isinf(dist[0]) and np.isinf(dist[2])
         assert dist[1] == pytest.approx(2.0)
 
     def test_interior_invariant_under_permutation(self):
         front = [vec(0, 1), vec(0, 1), vec(0.5, 0.5), vec(1, 0), vec(1, 0)]
-        base = crowding_distance(front)
+        base = one_front_crowding(front)
         perm = [front[i] for i in (4, 2, 0, 1, 3)]
-        permuted = crowding_distance(perm)
+        permuted = one_front_crowding(perm)
         finite = sorted(d for d in base if np.isfinite(d))
         finite_perm = sorted(d for d in permuted if np.isfinite(d))
         assert finite == pytest.approx(finite_perm)
 
     def test_zero_range_objective_contributes_nothing(self):
-        dist = crowding_distance([vec(0, 1), vec(0.5, 1), vec(1, 1)])
+        dist = one_front_crowding([vec(0, 1), vec(0.5, 1), vec(1, 1)])
         assert dist[1] == pytest.approx(1.0)
 
 

@@ -146,13 +146,17 @@ class TestStandardError:
 
 
 class TestDecide:
-    def test_arb_sole_front_member_reads_no_pool(self):
-        # With no rival there is nothing to compare: p* = 0 before any
-        # envelope, so even an empty pool is never read.
+    def test_arb_sole_front_member_is_not_resampled(self):
+        # With no rival there is nothing to compare: p* = 0, and nothing is
+        # drawn. The pool is seeded, as a run's is before its first decision.
         pop = ranked([(0, 0), (1, 1)])
-        ctx = DecisionContext(population=pop, front=pop.first_front(), dispersion=DispersionSet(),
-                              rng=np.random.default_rng(0))
+        pool = DispersionSet()
+        pool.push(vec(0.5, -0.5))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        ctx = DecisionContext(population=pop, front=pop.first_front(), dispersion=pool, rng=rng)
         assert should_resample(ArbStrategy(), ctx, 0) is False
+        assert rng.bit_generator.state == state
 
     def test_static_has_no_decision(self):
         # nsga2_run gives a static point its n samples one-shot and never asks.
@@ -174,6 +178,12 @@ class TestDecide:
         pop = ranked([(0, 1), (1, 0)])
         with pytest.raises(EvaluationError):
             should_resample(ArbStrategy(), ctx_for(pop), 0)
+        pool = DispersionSet()
+        pool.push(vec(0.5, -0.5))
+        empty_front = DecisionContext(population=pop, front=[], dispersion=pool,
+                                      rng=np.random.default_rng(0))
+        with pytest.raises(EvaluationError, match="nonempty front"):
+            should_resample(ArbStrategy(), empty_front, 0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(EvaluationError):
